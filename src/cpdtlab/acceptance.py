@@ -24,6 +24,7 @@ import numpy as np
 
 from .codec import ContentSpec, synth_content
 from .cpdt import (
+    LOCAL_MIN_QPS,
     RDCurve,
     TranscodeRecord,
     build_rd_curve,
@@ -70,7 +71,6 @@ class AcceptanceContext:
     SEED = 1
     COMPLEXITIES = (0.3, 0.6, 0.9)
     SIZE = 256
-    LOCAL_MIN_QPS = (22, 28, 32, 38)
 
     def __init__(self) -> None:
         self._cases: Optional[list[_PlaneCase]] = None
@@ -232,7 +232,7 @@ def _check_matched_qp_local_minimum(ctx: AcceptanceContext) -> tuple[bool, str]:
     rows = [
         row
         for case in ctx.cases()
-        for row in local_minimum_report(case.records, ctx.LOCAL_MIN_QPS)
+        for row in local_minimum_report(case.records, LOCAL_MIN_QPS)
     ]
     elapsed = time.perf_counter() - t0
     matches = sum(row.matches for row in rows)

@@ -22,10 +22,16 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .codec import DEFAULT_BLOCK_SIZE, ContentSpec, synth_content
-from .cpdt import aggregate_by_ratio, build_rd_curve, full_sweep, local_minimum_report
+from .cpdt import (
+    LOCAL_MIN_QPS,
+    LOCAL_MIN_RADIUS,
+    aggregate_by_ratio,
+    build_rd_curve,
+    full_sweep,
+    local_minimum_report,
+)
 from .pgm import encode_pgm, read_pgm
 from .quantizer import AWAY_FROM_ZERO, TOWARD_ZERO, Quantizer, as_fraction
-from .reference import FULL_CODEC_REFERENCE
 from .requant import (
     DEFAULT_DOMAIN,
     MEAN_ABS,
@@ -39,8 +45,22 @@ from .transform import TRANSFORM_SIZES
 
 __all__ = ["main", "build_parser"]
 
-LOCAL_MIN_QPS = (22, 28, 32, 38)
-LOCAL_MIN_RADIUS = 2
+# Published cascaded-transcoding losses (dB) of a full HEVC encoder (HM 15.0)
+# on full-HD sequences.  The profile CSV quotes them as context for the toy
+# codec's magnitudes, never as thresholds: a prediction-free toy codec
+# reproduces the structure of the effects, not their absolute scale.
+FULL_CODEC_REFERENCE = {
+    # average over sequences of the maximal loss across transcoding ratios
+    "avg_max_loss_db": 1.4,
+    # losses stay below this while the transcoding ratio is under 100%
+    "below_100pct_bound_db": 0.7,
+    # typical loss at a 95% transcoding ratio
+    "loss_at_95pct_db": 0.35,
+    # typical loss near a 75% transcoding ratio
+    "loss_at_75pct_db": 0.63,
+    # loss near 100% when the transcoder picks qp_s - 1 instead of qp_s
+    "qp_minus_one_loss_db": 0.5,
+}
 
 
 @dataclass(frozen=True)

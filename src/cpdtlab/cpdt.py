@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .codec import DEFAULT_BLOCK_SIZE, QP_RANGE, decode_plane, encode_plane, estimate_rate, psnr
+from .requant import UNDEFINED_RATIO
 
 __all__ = [
     "RATE_OUT_OF_SPAN",
@@ -46,7 +47,11 @@ __all__ = [
 ]
 
 RATE_OUT_OF_SPAN = "rate_out_of_span"
-UNDEFINED_RATIO = "undefined_ratio"
+
+# Matched-qp points the local-minimum report is read at, and the qp_t
+# half-width of the neighborhood searched around each.
+LOCAL_MIN_QPS = (22, 28, 32, 38)
+LOCAL_MIN_RADIUS = 2
 
 
 class RateOutOfSpanError(ValueError):
@@ -129,6 +134,15 @@ class LocalMinimumRow:
     delta_at_qp_s: float
 
 
+def _encode_decode(
+    plane: np.ndarray, source: np.ndarray, qp: int, block_size: int
+) -> tuple[float, float, np.ndarray]:
+    """Encode and decode `source` at qp: (rate, PSNR against `plane`, reconstruction)."""
+    enc = encode_plane(source, qp, block_size)
+    recon = decode_plane(enc)
+    return estimate_rate(enc), psnr(plane, recon), recon
+
+
 def build_rd_curve(
     plane: np.ndarray,
     qps: Sequence[int] = QP_RANGE,
@@ -138,10 +152,7 @@ def build_rd_curve(
     qps = sorted(set(int(q) for q in qps))
     if not qps:
         raise ValueError("need at least one qp")
-    samples = []
-    for qp in qps:
-        enc = encode_plane(plane, qp, block_size)
-        samples.append(RDPoint(qp=qp, rate=estimate_rate(enc), psnr=psnr(plane, decode_plane(enc))))
+    samples = [RDPoint(qp, *_encode_decode(plane, plane, qp, block_size)[:2]) for qp in qps]
     by_rate: dict[float, RDPoint] = {}
     for pt in samples:
         cur = by_rate.get(pt.rate)
@@ -179,41 +190,6 @@ def interp_psnr_at_rate(curve: RDCurve, rate: float) -> float:
     return p0 + t * (p1 - p0)
 
 
-def _transcode_from_recon(
-    plane: np.ndarray,
-    recon: np.ndarray,
-    qp_s: int,
-    qp_t: int,
-    source_rate: float,
-    psnr_r: float,
-    direct_curve: RDCurve,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> TranscodeRecord:
-    enc_t = encode_plane(recon, qp_t, block_size)
-    target_rate = estimate_rate(enc_t)
-    psnr_t = psnr(plane, decode_plane(enc_t))
-    if source_rate == 0.0:
-        return TranscodeRecord(
-            qp_s=qp_s, qp_t=qp_t, source_rate=source_rate, target_rate=target_rate,
-            ratio=None, psnr_r=psnr_r, psnr_t=psnr_t, psnr_c=None, delta_psnr=None,
-            flag=UNDEFINED_RATIO,
-        )
-    ratio = target_rate / source_rate
-    try:
-        psnr_c = interp_psnr_at_rate(direct_curve, target_rate)
-    except RateOutOfSpanError:
-        return TranscodeRecord(
-            qp_s=qp_s, qp_t=qp_t, source_rate=source_rate, target_rate=target_rate,
-            ratio=ratio, psnr_r=psnr_r, psnr_t=psnr_t, psnr_c=None, delta_psnr=None,
-            flag=RATE_OUT_OF_SPAN,
-        )
-    return TranscodeRecord(
-        qp_s=qp_s, qp_t=qp_t, source_rate=source_rate, target_rate=target_rate,
-        ratio=ratio, psnr_r=psnr_r, psnr_t=psnr_t, psnr_c=psnr_c,
-        delta_psnr=psnr_t - psnr_c, flag=None,
-    )
-
-
 def transcode(
     plane: np.ndarray,
     qp_s: int,
@@ -226,17 +202,7 @@ def transcode(
     The direct curve defaults to the plane's full 0..51 curve; pass one in
     when scoring many pairs of the same plane to avoid rebuilding it.
     """
-    if direct_curve is None:
-        direct_curve = build_rd_curve(plane, block_size=block_size)
-    enc_s = encode_plane(plane, qp_s, block_size)
-    recon = decode_plane(enc_s)
-    return _transcode_from_recon(
-        plane, recon, qp_s, qp_t,
-        source_rate=estimate_rate(enc_s),
-        psnr_r=psnr(plane, recon),
-        direct_curve=direct_curve,
-        block_size=block_size,
-    )
+    return full_sweep(plane, [qp_s], [qp_t], direct_curve, block_size)[0]
 
 
 def full_sweep(
@@ -251,14 +217,23 @@ def full_sweep(
         direct_curve = build_rd_curve(plane, block_size=block_size)
     records = []
     for qp_s in qp_s_values:
-        enc_s = encode_plane(plane, qp_s, block_size)
-        recon = decode_plane(enc_s)
-        source_rate = estimate_rate(enc_s)
-        psnr_r = psnr(plane, recon)
+        source_rate, psnr_r, recon = _encode_decode(plane, plane, qp_s, block_size)
         for qp_t in qp_t_values:
+            target_rate, psnr_t = _encode_decode(plane, recon, qp_t, block_size)[:2]
+            ratio = psnr_c = flag = None
+            if source_rate == 0.0:
+                flag = UNDEFINED_RATIO
+            else:
+                ratio = target_rate / source_rate
+                try:
+                    psnr_c = interp_psnr_at_rate(direct_curve, target_rate)
+                except RateOutOfSpanError:
+                    flag = RATE_OUT_OF_SPAN
             records.append(
-                _transcode_from_recon(
-                    plane, recon, qp_s, qp_t, source_rate, psnr_r, direct_curve, block_size
+                TranscodeRecord(
+                    qp_s=qp_s, qp_t=qp_t, source_rate=source_rate, target_rate=target_rate,
+                    ratio=ratio, psnr_r=psnr_r, psnr_t=psnr_t, psnr_c=psnr_c,
+                    delta_psnr=None if psnr_c is None else psnr_t - psnr_c, flag=flag,
                 )
             )
     return records
@@ -289,7 +264,7 @@ def aggregate_by_ratio(
 def local_minimum_report(
     records: Sequence[TranscodeRecord],
     qp_s_values: Optional[Sequence[int]] = None,
-    radius: int = 2,
+    radius: int = LOCAL_MIN_RADIUS,
 ) -> list[LocalMinimumRow]:
     """Argmin of |delta_psnr| over qp_t in [qp_s - radius, qp_s + radius].
 

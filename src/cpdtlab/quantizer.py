@@ -155,13 +155,6 @@ class Quantizer:
                 k += 1
         return sorted(out)
 
-    def max_error(self, lo: int, hi: int) -> Fraction:
-        """Worst-case |x - recon(x)| over the integers lo..hi inclusive."""
-        if lo > hi:
-            raise ValueError(f"empty domain: [{lo}, {hi}]")
-        err_num, den = self.error_numerators(np.arange(lo, hi + 1, dtype=np.int64))
-        return Fraction(int(err_num.max()), den)
-
     # -- vectorized exact path ----------------------------------------------
 
     def quantize_array(self, x: np.ndarray) -> np.ndarray:
@@ -194,21 +187,6 @@ class Quantizer:
         if self.offset > 0 and self.tie_break == TOWARD_ZERO:
             levels = levels - (t_num % full_den == 0)
         return np.where(num < 0, -levels, levels)
-
-    def error_numerators(self, x: np.ndarray) -> tuple[np.ndarray, int]:
-        """Exact |x - recon(x)| for an integer array, as (numerators, shared_den).
-
-        The error of integer x is |x*sq - level*sp| / sq with step = sp/sq;
-        returning integer numerators keeps downstream sums exact.
-        """
-        x = np.asarray(x)
-        sp, sq = self.step.numerator, self.step.denominator
-        levels = self.quantize_array(x)
-        if levels.dtype == object:
-            err = np.abs(x.astype(object) * sq - levels * sp)
-        else:
-            err = np.abs(x.astype(np.int64) * sq - levels * sp)
-        return err, sq
 
 
 def qp_to_qstep(qp: int) -> float:

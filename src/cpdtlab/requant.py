@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quantizer import TOWARD_ZERO, Quantizer, RationalLike, as_fraction
+from .quantizer import _INT64_SAFE, TOWARD_ZERO, Quantizer, RationalLike, as_fraction
 
 __all__ = [
     "MEAN_ABS",
@@ -52,8 +52,6 @@ MSE = "mse"
 METRICS = (MEAN_ABS, RMS, MSE)
 
 UNDEFINED_RATIO = "undefined_ratio"
-
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -151,30 +149,19 @@ def _require_metric(metric: str) -> None:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
-def _exact_sum(arr: np.ndarray) -> int:
-    if arr.dtype == object:
-        return int(arr.sum())
-    peak = int(arr.max(initial=0))
-    if peak and peak * arr.size >= _INT64_SAFE:
-        return int(arr.astype(object).sum())
-    return int(arr.sum(dtype=np.int64))
-
-def _exact_sum_sq(arr: np.ndarray) -> int:
-    if arr.dtype == object:
-        return int((arr * arr).sum())
-    peak = int(arr.max(initial=0))
-    if peak and peak * peak * arr.size >= _INT64_SAFE:
-        a = arr.astype(object)
-        return int((a * a).sum())
-    return int((arr * arr).sum(dtype=np.int64))
+def _exact_sum(arr: np.ndarray, power: int) -> int:
+    """Exact sum of arr**power (power 1 or 2) over a non-negative integer array."""
+    if arr.dtype != object and int(arr.max(initial=0)) ** power * arr.size >= _INT64_SAFE:
+        arr = arr.astype(object)
+    return int((arr if power == 1 else arr * arr).sum())
 
 
 def _metric_fraction(err_num: np.ndarray, den: int, metric: str) -> Fraction:
     """Exact metric value; for rms this is the mean-square (pre-sqrt)."""
     n = err_num.size
     if metric == MEAN_ABS:
-        return Fraction(_exact_sum(err_num), n * den)
-    return Fraction(_exact_sum_sq(err_num), n * den * den)
+        return Fraction(_exact_sum(err_num, 1), n * den)
+    return Fraction(_exact_sum(err_num, 2), n * den * den)
 
 
 def _metric_float(frac: Fraction, metric: str) -> float:
@@ -186,28 +173,23 @@ def _ratio_float(frac_b: Fraction, frac_a: Fraction, metric: str) -> float:
     return math.sqrt(float(r)) if metric == RMS else float(r)
 
 
-def _direct_error_numerators(q_t: Quantizer, x: np.ndarray) -> tuple[np.ndarray, int]:
-    return q_t.error_numerators(x)
-
-
-def _chain_error_numerators(
-    q_s: Quantizer, q_t: Quantizer, x: np.ndarray
+def _error_numerators(
+    x: np.ndarray, levels: np.ndarray, step: Fraction
 ) -> tuple[np.ndarray, int]:
-    """Exact |x - recon| numerators for the quantize-dequantize-requantize chain.
+    """Exact |x - levels*step| for integer x, as (numerators, shared_den).
 
-    Shares the target quantizer's step denominator with the direct chain so
-    the two error arrays are directly comparable.
+    With step = p/q the error is |x*q - levels*p| / q; integer numerators keep
+    downstream sums exact.  Object-dtype levels keep the products in Python ints.
     """
-    sp, sq = q_s.step.numerator, q_s.step.denominator
-    tp, tq = q_t.step.numerator, q_t.step.denominator
+    p, q = step.numerator, step.denominator
+    return np.abs(x.astype(levels.dtype) * q - levels * p), q
+
+
+def _chain_levels(q_s: Quantizer, q_t: Quantizer, x: np.ndarray) -> np.ndarray:
+    """Target levels of the quantize-dequantize-requantize chain."""
     lv1 = q_s.quantize_array(x)
     # first-stage reconstruction lv1*sp/sq, fed exactly into the second stage
-    lv2 = q_t.quantize_scaled(lv1 * sp, sq)
-    if lv2.dtype == object:
-        err = np.abs(x.astype(object) * tq - lv2 * tp)
-    else:
-        err = np.abs(x.astype(np.int64) * tq - lv2 * tp)
-    return err, tq
+    return q_t.quantize_scaled(lv1 * q_s.step.numerator, q_s.step.denominator)
 
 
 def direct_error(
@@ -217,7 +199,8 @@ def direct_error(
 ) -> float:
     """One-stage error of q_t over every integer in the domain."""
     _require_metric(metric)
-    err, den = _direct_error_numerators(q_t, domain.values())
+    x = domain.values()
+    err, den = _error_numerators(x, q_t.quantize_array(x), q_t.step)
     return _metric_float(_metric_fraction(err, den, metric), metric)
 
 
@@ -229,7 +212,8 @@ def requant_error(
 ) -> float:
     """Two-stage error: quantize with q_s, reconstruct, requantize with q_t."""
     _require_metric(metric)
-    err, den = _chain_error_numerators(q_s, q_t, domain.values())
+    x = domain.values()
+    err, den = _error_numerators(x, _chain_levels(q_s, q_t, x), q_t.step)
     return _metric_float(_metric_fraction(err, den, metric), metric)
 
 
@@ -243,10 +227,9 @@ def pointwise_errors(
     Exact integer numerators; err/den gives the absolute error of each value.
     """
     x = domain.values()
-    e_a, den_a = _direct_error_numerators(q_t, x)
-    e_b, den_b = _chain_error_numerators(q_s, q_t, x)
-    assert den_a == den_b
-    return e_a, e_b, den_a
+    e_a, den = _error_numerators(x, q_t.quantize_array(x), q_t.step)
+    e_b, _ = _error_numerators(x, _chain_levels(q_s, q_t, x), q_t.step)
+    return e_a, e_b, den
 
 
 def error_ratio(
@@ -261,9 +244,7 @@ def error_ratio(
     equalities (e.g. integer-multiple steps at offset 0) yield exactly 1.0.
     """
     _require_metric(metric)
-    x = domain.values()
-    e_a_num, den = _direct_error_numerators(q_t, x)
-    e_b_num, _ = _chain_error_numerators(q_s, q_t, x)
+    e_a_num, e_b_num, den = pointwise_errors(q_s, q_t, domain)
     frac_a = _metric_fraction(e_a_num, den, metric)
     frac_b = _metric_fraction(e_b_num, den, metric)
     if frac_a == 0:
@@ -307,21 +288,15 @@ def error_surface(
     offset: RationalLike = 0,
     tie_break: str = TOWARD_ZERO,
 ) -> ErrorSurface:
-    """Dense (qstep_s, qstep_t) grid of error ratios."""
+    """Dense (qstep_s, qstep_t) grid of error ratios: one target sweep per source step."""
     _require_metric(metric)
-    rows = []
-    for qs in qstep_s_values:
-        q_s = Quantizer(qs, offset, tie_break)
-        rows.append(
-            tuple(
-                error_ratio(q_s, Quantizer(qt, offset, tie_break), domain, metric)
-                for qt in qstep_t_values
-            )
-        )
     return ErrorSurface(
         qstep_s_values=tuple(float(as_fraction(v)) for v in qstep_s_values),
         qstep_t_values=tuple(float(as_fraction(v)) for v in qstep_t_values),
-        cells=tuple(rows),
+        cells=tuple(
+            tuple(sweep_qstep_t(qs, qstep_t_values, domain, metric, offset, tie_break))
+            for qs in qstep_s_values
+        ),
     )
 
 
@@ -381,9 +356,7 @@ def boundary_overlap(
             f"offsets must match to compare boundary grids: {q_s.offset} != {q_t.offset}"
         )
     frac_aligned = _aligned_fraction(q_s, q_t, domain)
-    x = domain.values()
-    e_a, den = _direct_error_numerators(q_t, x)
-    e_b, _ = _chain_error_numerators(q_s, q_t, x)
+    e_a, e_b, den = pointwise_errors(q_s, q_t, domain)
     extra = Fraction(int(e_b.max()) - int(e_a.max()), den)
     return OverlapReport(
         qstep_s=float(q_s.step),

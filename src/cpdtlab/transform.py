@@ -29,7 +29,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "residual_range",
-    "roundtrip_error_stats",
 ]
 
 COEFF_MIN = -32768
@@ -95,6 +94,17 @@ def _clip16(x: np.ndarray) -> np.ndarray:
     return np.clip(x, COEFF_MIN, COEFF_MAX)
 
 
+def _check_bit_depth(bit_depth: int, size: int) -> None:
+    # Every shift of the schedule must be at least 1: the first forward shift
+    # log2(N) - 1 + (B - 8) bounds B from below, the last inverse shift 20 - B
+    # from above.
+    lo = 10 - (size.bit_length() - 1)
+    if not lo <= bit_depth <= 19:
+        raise ValueError(
+            f"bit_depth must be in {lo}..19 for {size}x{size} blocks, got {bit_depth}"
+        )
+
+
 def _check_block(block: np.ndarray, name: str) -> tuple[np.ndarray, int]:
     block = np.asarray(block)
     if block.ndim < 2 or block.shape[-1] != block.shape[-2]:
@@ -112,13 +122,15 @@ def forward_transform(block: np.ndarray, bit_depth: int = 8) -> np.ndarray:
 
     Args:
         block: integer array of shape (..., N, N), N in TRANSFORM_SIZES.
-        bit_depth: residual bit depth B; shifts assume 8 by default.
+        bit_depth: residual bit depth B, 8..19 for 4x4 and 7..19 for 8x8
+            (the range where every shift is at least 1); 8 by default.
 
     Returns:
         int64 coefficient array of the same shape, every stage clipped to
         [-32768, 32767].
     """
     x, size = _check_block(block, "block")
+    _check_bit_depth(bit_depth, size)
     t = _MATRICES[size]
     log2n = size.bit_length() - 1
     shift1 = log2n - 1 + (bit_depth - 8)
@@ -132,9 +144,11 @@ def inverse_transform(coeff: np.ndarray, bit_depth: int = 8) -> np.ndarray:
     """Inverse 2-D integer transform of coefficient block(s).
 
     Output is clipped to the residual range for the bit depth
-    ([-256, 255] for 8-bit video).
+    ([-256, 255] for 8-bit video); bit_depth is bounded as in
+    forward_transform.
     """
     c, size = _check_block(coeff, "coeff")
+    _check_bit_depth(bit_depth, size)
     t = _MATRICES[size]
     shift1 = 7
     shift2 = 20 - bit_depth
@@ -142,20 +156,3 @@ def inverse_transform(coeff: np.ndarray, bit_depth: int = 8) -> np.ndarray:
     stage2 = _shifted(np.matmul(stage1, t), shift2)
     lo, hi = residual_range(bit_depth)
     return np.clip(stage2, lo, hi)
-
-
-def roundtrip_error_stats(blocks: np.ndarray, bit_depth: int = 8) -> dict[str, float]:
-    """Reconstruction error statistics of inverse(forward(b)) over blocks.
-
-    Args:
-        blocks: integer array of shape (..., N, N), at least one block.
-
-    Returns:
-        {"max_abs": ..., "mean_abs": ...} over every sample of every block.
-    """
-    blocks = np.asarray(blocks)
-    if blocks.size == 0:
-        raise ValueError("need at least one block")
-    recon = inverse_transform(forward_transform(blocks, bit_depth), bit_depth)
-    err = np.abs(recon - blocks.astype(np.int64))
-    return {"max_abs": float(err.max()), "mean_abs": float(err.mean())}

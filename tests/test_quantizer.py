@@ -98,18 +98,6 @@ class TestDecisionBoundaries:
             assert q.quantize(b + eps) != q.quantize(b - eps)
 
 
-class TestMaxError:
-    def test_frozen_examples(self):
-        assert Quantizer(20).max_error(0, 99) == 19
-        assert Quantizer(1).max_error(-500, 500) == 0
-        assert Quantizer(12, Fraction(1, 2)).max_error(0, 99) == 6
-
-    def test_matches_brute_force(self):
-        q = Quantizer(7, Fraction(1, 3))
-        brute = max(q.pointwise_error(x) for x in range(-40, 41))
-        assert q.max_error(-40, 40) == brute
-
-
 class TestVectorizedAgainstScalar:
     @given(step=_steps, offset=_offsets, values=st.lists(_values, min_size=1, max_size=40))
     @settings(max_examples=150, deadline=None)
@@ -125,13 +113,6 @@ class TestVectorizedAgainstScalar:
         q = Quantizer(step, offset, AWAY_FROM_ZERO)
         arr = np.array(values, dtype=np.int64)
         assert q.quantize_array(arr).tolist() == [q.quantize(v) for v in values]
-
-    def test_error_numerators_are_exact(self):
-        q = Quantizer(Fraction(5, 2), Fraction(1, 3))
-        x = np.arange(-50, 51, dtype=np.int64)
-        nums, den = q.error_numerators(x)
-        for xi, n in zip(x.tolist(), nums.tolist()):
-            assert Fraction(int(n), den) == q.pointwise_error(xi)
 
 
 class TestProperties:
