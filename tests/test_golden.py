@@ -70,6 +70,16 @@ EXPECTED = {
         "1d454dca39fec3b06ecdc3d0992c9f4e7fdc0f06a1dd00c9149b91476c3d78fd",
     "run_local_min.csv":
         "53f32b0817d0c91f3806c9c0e3107d7d0f59304e9c74591b8c85bde96c0c8acd",
+    "odd.pgm":
+        "2ffb2c95e588a87d39c9371762bdc444aeb952af7d14afb1d009811a93b4a04a",
+    "odd_curve.csv":
+        "bfd110348f4eec6bfb17a84d0d48feac8294c2e203092bf1f73d933446d4e01b",
+    "odd_records.csv":
+        "b5781ecf58c714823081965c1ca6fc9de9714fb6bbf357fed4bf870335de9f57",
+    "odd_profile.csv":
+        "4c16b7e753ee16f00232ca3eda78e372f45423951da31fe540808ad1617d7667",
+    "odd_local_min.csv":
+        "73893028c159f899e69f5015dd5a0332ce872f54e406926a119fa6b3e774fa24",
 }
 
 
@@ -84,22 +94,41 @@ def test_requant_csv_hash(name, tmp_path, monkeypatch):
     assert _sha256(tmp_path / "out.csv") == EXPECTED[name]
 
 
-@pytest.fixture(scope="module")
-def cpdt_outputs(tmp_path_factory):
-    """A 64x64 plane, its RD curve and a small cpdt-sweep, run with relative
-    paths so the echoed configuration does not depend on the directory."""
-    root = tmp_path_factory.mktemp("golden")
+def _run_in(root, commands) -> None:
+    """Run CLI commands in `root` with relative paths, so the echoed
+    configuration does not depend on the directory."""
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
-        commands = [
-            ["gen-content", "--seed", "1", "--complexity", "0.6",
-             "--width", "64", "--height", "64", "--out", "plane.pgm"],
-            ["rd-curve", "--input", "plane.pgm", "--out", "curve.csv"],
-            ["cpdt-sweep", "--input", "plane.pgm", "--qp-s", "26:30:2",
-             "--qp-t", "26:30:1", "--out-prefix", "run"],
-        ]
         for argv in commands:
             assert main(argv) == 0
+
+
+@pytest.fixture(scope="module")
+def cpdt_outputs(tmp_path_factory):
+    """A 64x64 plane, its RD curve and a small cpdt-sweep, with 8x8 blocks."""
+    root = tmp_path_factory.mktemp("golden")
+    _run_in(root, [
+        ["gen-content", "--seed", "1", "--complexity", "0.6",
+         "--width", "64", "--height", "64", "--out", "plane.pgm"],
+        ["rd-curve", "--input", "plane.pgm", "--out", "curve.csv"],
+        ["cpdt-sweep", "--input", "plane.pgm", "--qp-s", "26:30:2",
+         "--qp-t", "26:30:1", "--out-prefix", "run"],
+    ])
+    return root
+
+
+@pytest.fixture(scope="module")
+def odd_outputs(tmp_path_factory):
+    """A 45x29 plane (padded on both axes) through rd-curve and cpdt-sweep
+    with 4x4 blocks; qp_s 22 and 38 have full local-minimum neighborhoods."""
+    root = tmp_path_factory.mktemp("golden_odd")
+    _run_in(root, [
+        ["gen-content", "--seed", "3", "--complexity", "0.4",
+         "--width", "45", "--height", "29", "--out", "odd.pgm"],
+        ["rd-curve", "--input", "odd.pgm", "--block-size", "4", "--out", "odd_curve.csv"],
+        ["cpdt-sweep", "--input", "odd.pgm", "--qp-s", "22:38:8", "--qp-t", "20:40:1",
+         "--block-size", "4", "--out-prefix", "odd"],
+    ])
     return root
 
 
@@ -108,4 +137,11 @@ def cpdt_outputs(tmp_path_factory):
 )
 def test_cpdt_output_hash(name, cpdt_outputs):
     assert _sha256(cpdt_outputs / name) == EXPECTED[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["odd.pgm", "odd_curve.csv", "odd_records.csv", "odd_profile.csv", "odd_local_min.csv"]
+)
+def test_cpdt_odd_size_4x4_output_hash(name, odd_outputs):
+    assert _sha256(odd_outputs / name) == EXPECTED[name]
 
