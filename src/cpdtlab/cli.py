@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import secrets
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +64,10 @@ FULL_CODEC_REFERENCE = {
 }
 
 
+# Most values one lo:hi:step range may expand to.
+MAX_RANGE_VALUES = 10_000
+
+
 @dataclass(frozen=True)
 class _Arg:
     """A parsed flag value that remembers its raw spelling for the CSV echo."""
@@ -94,7 +99,8 @@ def _offset_arg(text: str) -> _Arg:
 
 def _parse_range(text: str) -> list[Fraction]:
     """lo:hi:step (or a single value); lo is included, and so is hi whenever
-    lo + k*step lands on it (2:40:1 yields 39 values)."""
+    lo + k*step lands on it (2:40:1 yields 39 values).  At most
+    MAX_RANGE_VALUES values; the count is checked before the list is built."""
     parts = text.split(":")
     if len(parts) == 1:
         return [_fraction_from_text(parts[0])]
@@ -108,6 +114,10 @@ def _parse_range(text: str) -> list[Fraction]:
     if hi < lo:
         raise argparse.ArgumentTypeError(f"range hi must be >= lo, got {text!r}")
     count = int((hi - lo) / step) + 1
+    if count > MAX_RANGE_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has {count} values; the limit is {MAX_RANGE_VALUES}"
+        )
     return [lo + k * step for k in range(count)]
 
 
@@ -159,14 +169,29 @@ def _csv_payload(meta: list[str], header: str, rows: list[list[str]]) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _create_staging(path: Path) -> tuple[int, Path]:
+    """Create a new, uniquely named file beside `path` for staging its bytes.
+
+    O_EXCL with mode 0o666 gives the file the permissions a plain open would
+    (the umask applies), and a name no concurrent run can share.
+    """
+    while True:
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            pass
+
+
 def _write_outputs(outputs: dict[Path, bytes]) -> None:
-    """Write every payload to a temp file, then rename all into place."""
+    """Write every payload to its own temp file, then rename all into place."""
     staged: list[tuple[Path, Path]] = []
     try:
         for path, data in outputs.items():
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_bytes(data)
+            fd, tmp = _create_staging(path)
             staged.append((tmp, path))
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:

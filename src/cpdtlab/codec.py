@@ -125,6 +125,33 @@ def _untile(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
     return full[:height, :width]
 
 
+def _transform_plane(plane: np.ndarray, block_size: int) -> np.ndarray:
+    """Tile a uint8 plane, center it by 128 and forward-transform every block.
+
+    The coefficients do not depend on qp, so a caller quantizing one plane at
+    many qps transforms it once and calls _quantize_plane per qp.
+    """
+    plane = _check_plane(plane)
+    if block_size not in TRANSFORM_SIZES:
+        raise ValueError(f"block_size must be one of {TRANSFORM_SIZES}, got {block_size}")
+    return forward_transform(_tile(plane, block_size).astype(np.int16) - 128)
+
+
+def _quantize_plane(coeff: np.ndarray, qp: int, shape: tuple[int, int]) -> EncodedPlane:
+    """Dead-zone quantize _transform_plane coefficients of a plane of `shape` at qp."""
+    if qp not in QP_RANGE:
+        raise ValueError(f"qp out of range 0..51: {qp}")
+    block_size = coeff.shape[-1]
+    # sign(c) * floor(|c| / step + offset), in place on one float array.
+    scaled = np.abs(coeff) / coeff_qstep(qp, block_size)
+    scaled += CODEC_DEADZONE_OFFSET
+    np.floor(scaled, out=scaled)
+    scaled *= np.sign(coeff)
+    levels = scaled.astype(np.int32)
+    h, w = shape
+    return EncodedPlane(qp=qp, block_size=block_size, width=w, height=h, levels=levels)
+
+
 def encode_plane(
     plane: np.ndarray, qp: int, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> EncodedPlane:
@@ -133,27 +160,20 @@ def encode_plane(
     Quantization is the dead-zone law level = sign(c) * floor(|c|/step + 1/3)
     on the integer transform coefficients; the step follows coeff_qstep(qp).
     """
-    plane = _check_plane(plane)
-    if block_size not in TRANSFORM_SIZES:
-        raise ValueError(f"block_size must be one of {TRANSFORM_SIZES}, got {block_size}")
-    if qp not in QP_RANGE:
-        raise ValueError(f"qp out of range 0..51: {qp}")
-    h, w = plane.shape
-    residual = _tile(plane, block_size).astype(np.int64) - 128
-    coeff = forward_transform(residual)
-    step = coeff_qstep(qp, block_size)
-    levels = (np.sign(coeff) * np.floor(np.abs(coeff) / step + CODEC_DEADZONE_OFFSET)).astype(
-        np.int32
-    )
-    return EncodedPlane(qp=qp, block_size=block_size, width=w, height=h, levels=levels)
+    coeff = _transform_plane(plane, block_size)
+    return _quantize_plane(coeff, qp, np.shape(plane))
 
 
 def decode_plane(enc: EncodedPlane) -> np.ndarray:
     """Reconstruct a uint8 plane from quantized levels."""
-    step = coeff_qstep(enc.qp, enc.block_size)
-    coeff = np.clip(np.rint(enc.levels.astype(np.float64) * step), COEFF_MIN, COEFF_MAX)
-    residual = inverse_transform(coeff.astype(np.int64))
-    pixels = np.clip(residual + 128, 0, PIXEL_MAX).astype(np.uint8)
+    # In place where possible: fresh plane-sized temporaries cost more than
+    # the arithmetic on them.
+    coeff = enc.levels * coeff_qstep(enc.qp, enc.block_size)
+    np.rint(coeff, out=coeff)
+    coeff = np.clip(coeff, COEFF_MIN, COEFF_MAX, out=coeff).astype(np.int16)
+    residual = inverse_transform(coeff)
+    residual += 128
+    pixels = np.clip(residual, 0, PIXEL_MAX, out=residual).astype(np.uint8)
     return _untile(pixels, enc.height, enc.width)
 
 
@@ -181,8 +201,10 @@ def psnr(reference: np.ndarray, test: np.ndarray) -> float:
     b = _check_plane(test, "test")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a.astype(np.float64) - b.astype(np.float64)
-    mse = float(np.mean(diff * diff))
+    diff = a.astype(np.float64)
+    diff -= b
+    diff *= diff
+    mse = float(np.mean(diff))
     if mse == 0.0:
         return PSNR_CAP
     return min(10.0 * np.log10(PIXEL_MAX * PIXEL_MAX / mse), PSNR_CAP)

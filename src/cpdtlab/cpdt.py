@@ -25,7 +25,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codec import DEFAULT_BLOCK_SIZE, QP_RANGE, decode_plane, encode_plane, estimate_rate, psnr
+from .codec import (
+    DEFAULT_BLOCK_SIZE,
+    QP_RANGE,
+    EncodedPlane,
+    _quantize_plane,
+    _transform_plane,
+    decode_plane,
+    encode_plane,
+    estimate_rate,
+    psnr,
+)
 from .requant import UNDEFINED_RATIO
 
 __all__ = [
@@ -134,11 +144,8 @@ class LocalMinimumRow:
     delta_at_qp_s: float
 
 
-def _encode_decode(
-    plane: np.ndarray, source: np.ndarray, qp: int, block_size: int
-) -> tuple[float, float, np.ndarray]:
-    """Encode and decode `source` at qp: (rate, PSNR against `plane`, reconstruction)."""
-    enc = encode_plane(source, qp, block_size)
+def _decode_score(plane: np.ndarray, enc: EncodedPlane) -> tuple[float, float, np.ndarray]:
+    """Decode an encoding: (rate, PSNR against `plane`, reconstruction)."""
     recon = decode_plane(enc)
     return estimate_rate(enc), psnr(plane, recon), recon
 
@@ -152,7 +159,10 @@ def build_rd_curve(
     qps = sorted(set(int(q) for q in qps))
     if not qps:
         raise ValueError("need at least one qp")
-    samples = [RDPoint(qp, *_encode_decode(plane, plane, qp, block_size)[:2]) for qp in qps]
+    coeff, shape = _transform_plane(plane, block_size), np.shape(plane)
+    samples = [
+        RDPoint(qp, *_decode_score(plane, _quantize_plane(coeff, qp, shape))[:2]) for qp in qps
+    ]
     by_rate: dict[float, RDPoint] = {}
     for pt in samples:
         cur = by_rate.get(pt.rate)
@@ -212,14 +222,19 @@ def full_sweep(
     direct_curve: Optional[RDCurve] = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[TranscodeRecord]:
-    """Every (qp_s, qp_t) pair; 52x52 by default, 2704 records."""
+    """Every (qp_s, qp_t) pair; 52x52 by default, 2704 records.
+
+    Each source reconstruction is transformed once and quantized at every qp_t.
+    """
     if direct_curve is None:
         direct_curve = build_rd_curve(plane, block_size=block_size)
     records = []
     for qp_s in qp_s_values:
-        source_rate, psnr_r, recon = _encode_decode(plane, plane, qp_s, block_size)
+        source_rate, psnr_r, recon = _decode_score(plane, encode_plane(plane, qp_s, block_size))
+        recon_coeff = _transform_plane(recon, block_size)
         for qp_t in qp_t_values:
-            target_rate, psnr_t = _encode_decode(plane, recon, qp_t, block_size)[:2]
+            enc = _quantize_plane(recon_coeff, qp_t, recon.shape)
+            target_rate, psnr_t = _decode_score(plane, enc)[:2]
             ratio = psnr_c = flag = None
             if source_rate == 0.0:
                 flag = UNDEFINED_RATIO

@@ -49,6 +49,8 @@ def read_pgm(path: str) -> np.ndarray:
     raster = data[offset : offset + width * height]
     if len(raster) != width * height:
         raise ValueError("truncated PGM raster")
+    if len(data) > offset + len(raster):
+        raise ValueError(f"{len(data) - offset - len(raster)} trailing bytes after the PGM raster")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
 
 

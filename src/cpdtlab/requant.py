@@ -32,6 +32,7 @@ __all__ = [
     "UNDEFINED_RATIO",
     "CoefficientDomain",
     "DEFAULT_DOMAIN",
+    "MAX_DOMAIN_SIZE",
     "RequantPoint",
     "ErrorSurface",
     "OverlapReport",
@@ -53,10 +54,17 @@ METRICS = (MEAN_ABS, RMS, MSE)
 
 UNDEFINED_RATIO = "undefined_ratio"
 
+# Largest CoefficientDomain: 16 times the 16-bit default, 8 MB per int64 array.
+MAX_DOMAIN_SIZE = 1 << 20
+
 
 @dataclass(frozen=True)
 class CoefficientDomain:
-    """Inclusive integer range of source values to evaluate exhaustively."""
+    """Inclusive integer range of source values to evaluate exhaustively.
+
+    At most MAX_DOMAIN_SIZE values, so a typo in a bound fails at once
+    instead of allocating arrays without bound.
+    """
 
     lo: int = -32768
     hi: int = 32767
@@ -66,6 +74,11 @@ class CoefficientDomain:
             raise TypeError("domain bounds must be integers")
         if self.lo > self.hi:
             raise ValueError(f"empty domain: [{self.lo}, {self.hi}]")
+        if self.size > MAX_DOMAIN_SIZE:
+            raise ValueError(
+                f"domain [{self.lo}, {self.hi}] has {self.size} values; the limit is "
+                f"{MAX_DOMAIN_SIZE}"
+            )
 
     @property
     def size(self) -> int:

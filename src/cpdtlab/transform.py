@@ -14,6 +14,10 @@ The integer chain carries a fixed gain over the orthonormal DCT-II:
 block of value v transforms to a DC coefficient of 128 * v at either size.
 Because of the staged shifts the chain is deliberately not lossless: a
 forward/inverse round trip may move a sample by one or two codes.
+
+The matrix products run as float64 BLAS and the shifts and clips as int64,
+so every result is the exact integer of the reference definition.  Input
+values must lie in signed 32 bits for that to hold (see _stage).
 """
 
 from __future__ import annotations
@@ -65,6 +69,15 @@ _T8 = np.array(
 )
 
 _MATRICES = {4: _T4, 8: _T8}
+# Each matrix and its transpose as contiguous float64, the operands of _stage.
+_FLOAT_MATRICES = {
+    n: (t.astype(np.float64), t.T.astype(np.float64, order="C")) for n, t in _MATRICES.items()
+}
+
+# Inputs must fit in signed 32 bits, far beyond any residual (bit depth <= 19)
+# or 16-bit coefficient; the bound keeps _stage exact.
+_INPUT_MIN = -(1 << 31)
+_INPUT_MAX = (1 << 31) - 1
 
 
 def transform_matrix(size: int) -> np.ndarray:
@@ -86,12 +99,25 @@ def residual_range(bit_depth: int = 8) -> tuple[int, int]:
     return -(1 << bit_depth), (1 << bit_depth) - 1
 
 
-def _shifted(x: np.ndarray, shift: int) -> np.ndarray:
-    return (x + (1 << (shift - 1))) >> shift
+def _stage(a: np.ndarray, b: np.ndarray, shift: int) -> np.ndarray:
+    """One pass: the integer product a @ b with a rounded right shift, as int64.
+
+    The product runs as float64 BLAS on integer-valued operands and is exact:
+    one operand is a transform matrix (|entry| <= 89, N <= 8 terms per sum),
+    the other holds integers with |x| <= 2^31, so every product and partial
+    sum is an integer of magnitude at most 2^31 * 8 * 89 < 2^41 < 2^53, which
+    float64 holds exactly whatever order BLAS sums in.  The shift stays in
+    int64 and works in place: fresh large temporaries cost more here than the
+    arithmetic on them.
+    """
+    x = np.matmul(a, b).astype(np.int64)
+    x += 1 << (shift - 1)
+    x >>= shift
+    return x
 
 
 def _clip16(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, COEFF_MIN, COEFF_MAX)
+    return np.clip(x, COEFF_MIN, COEFF_MAX, out=x)
 
 
 def _check_bit_depth(bit_depth: int, size: int) -> None:
@@ -114,7 +140,12 @@ def _check_block(block: np.ndarray, name: str) -> tuple[np.ndarray, int]:
         raise ValueError(f"unsupported transform size {size}; choose from {TRANSFORM_SIZES}")
     if not np.issubdtype(block.dtype, np.integer):
         raise TypeError(f"{name} must be an integer array, got dtype {block.dtype}")
-    return block.astype(np.int64), size
+    info = np.iinfo(block.dtype)
+    if (info.min < _INPUT_MIN or info.max > _INPUT_MAX) and block.size and (
+        block.min() < _INPUT_MIN or block.max() > _INPUT_MAX
+    ):
+        raise ValueError(f"{name} values must lie in signed 32 bits [{_INPUT_MIN}, {_INPUT_MAX}]")
+    return block.astype(np.float64), size
 
 
 def forward_transform(block: np.ndarray, bit_depth: int = 8) -> np.ndarray:
@@ -128,31 +159,34 @@ def forward_transform(block: np.ndarray, bit_depth: int = 8) -> np.ndarray:
     Returns:
         int64 coefficient array of the same shape, every stage clipped to
         [-32768, 32767].
+
+    Raises:
+        ValueError: a value lies outside signed 32 bits, or bit_depth or the
+            block shape is out of range.
     """
     x, size = _check_block(block, "block")
     _check_bit_depth(bit_depth, size)
-    t = _MATRICES[size]
+    t, t_transposed = _FLOAT_MATRICES[size]
     log2n = size.bit_length() - 1
     shift1 = log2n - 1 + (bit_depth - 8)
     shift2 = log2n + 6
-    stage1 = _clip16(_shifted(np.matmul(t, x), shift1))
-    stage2 = _clip16(_shifted(np.matmul(stage1, t.T), shift2))
-    return stage2
+    x = _clip16(_stage(t, x, shift1)).astype(np.float64)
+    return _clip16(_stage(x, t_transposed, shift2))
 
 
 def inverse_transform(coeff: np.ndarray, bit_depth: int = 8) -> np.ndarray:
     """Inverse 2-D integer transform of coefficient block(s).
 
     Output is clipped to the residual range for the bit depth
-    ([-256, 255] for 8-bit video); bit_depth is bounded as in
-    forward_transform.
+    ([-256, 255] for 8-bit video); bit_depth and the input values are
+    bounded as in forward_transform.
     """
     c, size = _check_block(coeff, "coeff")
     _check_bit_depth(bit_depth, size)
-    t = _MATRICES[size]
+    t, t_transposed = _FLOAT_MATRICES[size]
     shift1 = 7
     shift2 = 20 - bit_depth
-    stage1 = _clip16(_shifted(np.matmul(t.T, c), shift1))
-    stage2 = _shifted(np.matmul(stage1, t), shift2)
+    c = _clip16(_stage(t_transposed, c, shift1)).astype(np.float64)
+    residual = _stage(c, t, shift2)
     lo, hi = residual_range(bit_depth)
-    return np.clip(stage2, lo, hi)
+    return np.clip(residual, lo, hi, out=residual)

@@ -1,16 +1,20 @@
 """Command-line interface: parsing, exit codes, CSV layout, determinism."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
 from cpdtlab.cli import (
+    MAX_RANGE_VALUES,
+    _create_staging,
     _domain_arg,
     _fmt,
     _int_range_arg,
     _parse_range,
     main,
 )
+from cpdtlab.requant import MAX_DOMAIN_SIZE
 
 import argparse
 
@@ -50,6 +54,24 @@ class TestRangeParsing:
     def test_malformed_ranges(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_range(text)
+
+    def test_value_count_cap(self, tmp_path, capsys):
+        assert len(_parse_range(f"1:{MAX_RANGE_VALUES}:1")) == MAX_RANGE_VALUES
+        with pytest.raises(argparse.ArgumentTypeError, match="limit"):
+            _parse_range(f"1:{MAX_RANGE_VALUES + 1}:1")
+        with pytest.raises(argparse.ArgumentTypeError, match="limit"):
+            _parse_range(f"0:{MAX_RANGE_VALUES / 1000}:0.001")
+        code = main(["requant", "sweep", "--qstep-s", "12", "--domain=0:1",
+                     "--qstep-t", f"1:{MAX_RANGE_VALUES + 1}:1", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "limit" in capsys.readouterr().err
+
+    def test_domain_size_cap(self, tmp_path, capsys):
+        assert _domain_arg(f"0:{MAX_DOMAIN_SIZE - 1}").value.size == MAX_DOMAIN_SIZE
+        code = main(["requant", "sweep", "--qstep-s", "12", "--qstep-t", "24",
+                     f"--domain=0:{MAX_DOMAIN_SIZE}", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "limit" in capsys.readouterr().err
 
     def test_int_range_rejects_fractions(self):
         with pytest.raises(argparse.ArgumentTypeError):
@@ -137,6 +159,40 @@ class TestGenContent:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestWriteOutputs:
+    ARGS = ["gen-content", "--seed", "4", "--complexity", "0.5", "--width", "8", "--height", "8"]
+
+    def test_each_run_stages_under_its_own_name(self, tmp_path):
+        out = tmp_path / "plane.pgm"
+        # A concurrent run's staging file, under the name every run once shared.
+        other = tmp_path / "plane.pgm.tmp"
+        other.write_bytes(b"another run")
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        assert other.read_bytes() == b"another run"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plane.pgm", "plane.pgm.tmp"]
+        staged = [_create_staging(out) for _ in range(2)]
+        for fd, _ in staged:
+            os.close(fd)
+        assert staged[0][1] != staged[1][1]
+        assert {tmp.parent for _, tmp in staged} == {tmp_path}
+
+    def test_permissions_match_a_plain_write(self, tmp_path):
+        out = tmp_path / "plane.pgm"
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    def test_failure_leaves_no_files(self, tmp_path, monkeypatch, capsys):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert main(self.ARGS + ["--out", str(tmp_path / "plane.pgm")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "disk full" in capsys.readouterr().err
 
 
 class TestRequantCommands:

@@ -6,7 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from cpdtlab.codec import ContentSpec, synth_content
+from cpdtlab.codec import (
+    ContentSpec,
+    decode_plane,
+    encode_plane,
+    estimate_rate,
+    psnr,
+    synth_content,
+)
 from cpdtlab.cpdt import (
     RATE_OUT_OF_SPAN,
     UNDEFINED_RATIO,
@@ -52,6 +59,59 @@ class TestRDCurve:
     def test_duplicate_qps_collapse(self, plane64):
         curve = build_rd_curve(plane64, qps=[30, 30, 20])
         assert [s.qp for s in curve.samples] == [20, 30]
+
+    @pytest.mark.parametrize("qps, block_size", [([30, 52], 8), ([-1, 30], 8), ([30], 16)])
+    def test_invalid_qp_or_block_size_rejected(self, plane64, qps, block_size):
+        with pytest.raises(ValueError):
+            build_rd_curve(plane64, qps=qps, block_size=block_size)
+
+
+def _odd_plane():
+    """37x22: padded on both axes at either block size."""
+    return synth_content(ContentSpec(seed=8, complexity=0.7, width=37, height=22))
+
+
+class TestSweepMatchesPlainChain:
+    """The sweep shares the transform across qps; its numbers must equal the
+    plain encode/decode/rate/PSNR chain run afresh for every qp."""
+
+    @pytest.mark.parametrize("block_size", [4, 8])
+    def test_rd_curve_samples(self, block_size):
+        plane = _odd_plane()
+        curve = build_rd_curve(plane, qps=[0, 17, 30, 51], block_size=block_size)
+        for pt in curve.samples:
+            enc = encode_plane(plane, pt.qp, block_size)
+            assert (pt.rate, pt.psnr) == (estimate_rate(enc), psnr(plane, decode_plane(enc)))
+
+    @pytest.mark.parametrize("block_size", [4, 8])
+    def test_sweep_records(self, block_size):
+        plane = _odd_plane()
+        curve = build_rd_curve(plane, block_size=block_size)
+        qp_s_values, qp_t_values = [12, 31], [0, 12, 30, 33, 51]
+        records = full_sweep(plane, qp_s_values, qp_t_values, curve, block_size)
+        assert [(r.qp_s, r.qp_t) for r in records] == [
+            (s, t) for s in qp_s_values for t in qp_t_values
+        ]
+        for rec in records:
+            source = encode_plane(plane, rec.qp_s, block_size)
+            recon = decode_plane(source)
+            target = encode_plane(recon, rec.qp_t, block_size)
+            assert rec.source_rate == estimate_rate(source)
+            assert rec.psnr_r == psnr(plane, recon)
+            assert rec.target_rate == estimate_rate(target)
+            assert rec.psnr_t == psnr(plane, decode_plane(target))
+            if rec.flag is None:
+                assert rec.psnr_c == interp_psnr_at_rate(curve, rec.target_rate)
+
+    @pytest.mark.parametrize(
+        "qp_s, qp_t, block_size",
+        [([52], [30], 8), ([30], [52], 8), ([-1], [30], 8), ([30], [-1], 8), ([30], [30], 16)],
+    )
+    def test_invalid_qp_or_block_size_rejected(self, plane64, curve64, qp_s, qp_t, block_size):
+        with pytest.raises(ValueError):
+            full_sweep(plane64, qp_s, qp_t, curve64, block_size)
+        with pytest.raises(ValueError):
+            full_sweep(plane64, qp_s, qp_t, block_size=block_size)
 
 
 class TestInterp:

@@ -74,6 +74,11 @@ class TestRead:
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(self._write(tmp_path, data))
 
+    def test_rejects_trailing_bytes(self, tmp_path):
+        data = b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4, 5, 6])
+        with pytest.raises(ValueError, match="2 trailing bytes"):
+            read_pgm(self._write(tmp_path, data))
+
     def test_rejects_truncated_header(self, tmp_path):
         with pytest.raises(ValueError):
             read_pgm(self._write(tmp_path, b"P5\n4"))

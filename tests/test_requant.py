@@ -12,6 +12,7 @@ from cpdtlab.quantizer import Quantizer
 from cpdtlab.requant import (
     AUDIT_OFFSETS,
     DEFAULT_DOMAIN,
+    MAX_DOMAIN_SIZE,
     MEAN_ABS,
     METRICS,
     MSE,
@@ -232,6 +233,13 @@ class TestCoefficientDomain:
     def test_validation(self):
         with pytest.raises(ValueError):
             CoefficientDomain(10, 9)
+
+    def test_size_cap(self):
+        # Only sizes are compared: values() of the accepted domain is never built.
+        assert CoefficientDomain(-(1 << 19), (1 << 19) - 1).size == MAX_DOMAIN_SIZE
+        assert DEFAULT_DOMAIN.size == 1 << 16
+        with pytest.raises(ValueError, match="limit"):
+            CoefficientDomain(-(1 << 19), 1 << 19)
 
     def test_size_and_values(self):
         d = CoefficientDomain(-3, 3)

@@ -12,6 +12,32 @@ from cpdtlab.transform import (
     transform_matrix,
 )
 
+INT32_MIN = -(1 << 31)
+INT32_MAX = (1 << 31) - 1
+
+
+def _round_shift(x, shift):
+    return (x + (1 << (shift - 1))) >> shift
+
+
+def _clip16(x):
+    return np.clip(x, -32768, 32767)
+
+
+def _reference_forward(block, bit_depth):
+    """The transform as plain int64 matmul, independent of the float path."""
+    t = transform_matrix(block.shape[-1]).astype(np.int64)
+    log2n = block.shape[-1].bit_length() - 1
+    stage1 = _clip16(_round_shift(np.matmul(t, block.astype(np.int64)), log2n - 9 + bit_depth))
+    return _clip16(_round_shift(np.matmul(stage1, t.T), log2n + 6))
+
+
+def _reference_inverse(coeff, bit_depth):
+    t = transform_matrix(coeff.shape[-1]).astype(np.int64)
+    stage1 = _clip16(_round_shift(np.matmul(t.T, coeff.astype(np.int64)), 7))
+    lo, hi = residual_range(bit_depth)
+    return np.clip(_round_shift(np.matmul(stage1, t), 20 - bit_depth), lo, hi)
+
 
 class TestMatrices:
     def test_t4_rows(self):
@@ -90,6 +116,17 @@ class TestForward:
         with pytest.raises(TypeError):
             forward_transform(np.zeros((4, 4), dtype=np.float64))
 
+    @pytest.mark.parametrize("fn", [forward_transform, inverse_transform])
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [(INT32_MAX + 1, np.int64), (INT32_MIN - 1, np.int64), (INT32_MAX + 1, np.uint32)],
+    )
+    def test_rejects_values_outside_32_bits(self, fn, value, dtype):
+        block = np.zeros((4, 4), dtype=dtype)
+        block[1, 2] = value
+        with pytest.raises(ValueError, match="signed 32 bits"):
+            fn(block)
+
 
 class TestInverse:
     @pytest.mark.parametrize("size", TRANSFORM_SIZES)
@@ -153,6 +190,28 @@ class TestRoundtrip:
 class TestBitDepth:
     # The shift schedule needs every shift >= 1: B >= 8 (4x4) or 7 (8x8) for
     # the first forward shift, B <= 19 for the last inverse shift.
+    EDGES = [(4, 8), (4, 19), (8, 7), (8, 19)]
+
+    @pytest.mark.parametrize("size, bit_depth", EDGES)
+    def test_matches_int64_reference(self, size, bit_depth):
+        # Full-range 32-bit blocks, their extremes, and residual-sized blocks:
+        # the float64 products must give the exact integers of int64 matmul.
+        rng = np.random.default_rng(size * 100 + bit_depth)
+        wide = rng.integers(INT32_MIN, INT32_MAX, size=(300, size, size), endpoint=True)
+        wide[:100].flat[rng.integers(0, 100 * size * size, 400)] = INT32_MAX
+        wide[:100].flat[rng.integers(0, 100 * size * size, 400)] = -INT32_MAX
+        wide[100:150] = rng.choice([-INT32_MAX, INT32_MAX, INT32_MIN], size=(50, size, size))
+        lo, hi = residual_range(bit_depth)
+        residual = rng.integers(lo, hi, size=(300, size, size), endpoint=True)
+        coeff = rng.integers(-32768, 32767, size=(300, size, size), endpoint=True)
+        for blocks in (wide, residual, coeff):
+            assert np.array_equal(
+                forward_transform(blocks, bit_depth), _reference_forward(blocks, bit_depth)
+            )
+            assert np.array_equal(
+                inverse_transform(blocks, bit_depth), _reference_inverse(blocks, bit_depth)
+            )
+
     @pytest.mark.parametrize("size, lo", [(4, 8), (8, 7)])
     def test_edges(self, size, lo):
         block = np.full((size, size), 3, dtype=np.int64)
