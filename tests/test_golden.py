@@ -94,54 +94,36 @@ def test_requant_csv_hash(name, tmp_path, monkeypatch):
     assert _sha256(tmp_path / "out.csv") == EXPECTED[name]
 
 
-def _run_in(root, commands) -> None:
-    """Run CLI commands in `root` with relative paths, so the echoed
-    configuration does not depend on the directory."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.chdir(root)
-        for argv in commands:
-            assert main(argv) == 0
-
-
 @pytest.fixture(scope="module")
 def cpdt_outputs(tmp_path_factory):
-    """A 64x64 plane, its RD curve and a small cpdt-sweep, with 8x8 blocks."""
+    """Planes, RD curves and small cpdt-sweeps, run with relative paths so the
+    echoed configuration does not depend on the directory: a 64x64 plane with
+    8x8 blocks, and a 45x29 plane (padded on both axes) with 4x4 blocks whose
+    qp_s 22 and 38 have full local-minimum neighborhoods."""
     root = tmp_path_factory.mktemp("golden")
-    _run_in(root, [
-        ["gen-content", "--seed", "1", "--complexity", "0.6",
-         "--width", "64", "--height", "64", "--out", "plane.pgm"],
-        ["rd-curve", "--input", "plane.pgm", "--out", "curve.csv"],
-        ["cpdt-sweep", "--input", "plane.pgm", "--qp-s", "26:30:2",
-         "--qp-t", "26:30:1", "--out-prefix", "run"],
-    ])
-    return root
-
-
-@pytest.fixture(scope="module")
-def odd_outputs(tmp_path_factory):
-    """A 45x29 plane (padded on both axes) through rd-curve and cpdt-sweep
-    with 4x4 blocks; qp_s 22 and 38 have full local-minimum neighborhoods."""
-    root = tmp_path_factory.mktemp("golden_odd")
-    _run_in(root, [
-        ["gen-content", "--seed", "3", "--complexity", "0.4",
-         "--width", "45", "--height", "29", "--out", "odd.pgm"],
-        ["rd-curve", "--input", "odd.pgm", "--block-size", "4", "--out", "odd_curve.csv"],
-        ["cpdt-sweep", "--input", "odd.pgm", "--qp-s", "22:38:8", "--qp-t", "20:40:1",
-         "--block-size", "4", "--out-prefix", "odd"],
-    ])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        commands = [
+            ["gen-content", "--seed", "1", "--complexity", "0.6",
+             "--width", "64", "--height", "64", "--out", "plane.pgm"],
+            ["rd-curve", "--input", "plane.pgm", "--out", "curve.csv"],
+            ["cpdt-sweep", "--input", "plane.pgm", "--qp-s", "26:30:2",
+             "--qp-t", "26:30:1", "--out-prefix", "run"],
+            ["gen-content", "--seed", "3", "--complexity", "0.4",
+             "--width", "45", "--height", "29", "--out", "odd.pgm"],
+            ["rd-curve", "--input", "odd.pgm", "--block-size", "4", "--out", "odd_curve.csv"],
+            ["cpdt-sweep", "--input", "odd.pgm", "--qp-s", "22:38:8", "--qp-t", "20:40:1",
+             "--block-size", "4", "--out-prefix", "odd"],
+        ]
+        for argv in commands:
+            assert main(argv) == 0
     return root
 
 
 @pytest.mark.parametrize(
-    "name", ["plane.pgm", "curve.csv", "run_records.csv", "run_profile.csv", "run_local_min.csv"]
+    "name",
+    ["plane.pgm", "curve.csv", "run_records.csv", "run_profile.csv", "run_local_min.csv",
+     "odd.pgm", "odd_curve.csv", "odd_records.csv", "odd_profile.csv", "odd_local_min.csv"],
 )
 def test_cpdt_output_hash(name, cpdt_outputs):
     assert _sha256(cpdt_outputs / name) == EXPECTED[name]
-
-
-@pytest.mark.parametrize(
-    "name", ["odd.pgm", "odd_curve.csv", "odd_records.csv", "odd_profile.csv", "odd_local_min.csv"]
-)
-def test_cpdt_odd_size_4x4_output_hash(name, odd_outputs):
-    assert _sha256(odd_outputs / name) == EXPECTED[name]
-
