@@ -3,6 +3,7 @@
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cpdtlab.cli import (
@@ -14,6 +15,7 @@ from cpdtlab.cli import (
     _parse_range,
     main,
 )
+from cpdtlab.pgm import encode_pgm
 from cpdtlab.requant import MAX_DOMAIN_SIZE
 
 import argparse
@@ -305,3 +307,21 @@ class TestCpdtSweep:
         assert code == 0
         local = _rows(tmp_path / "narrow_local_min.csv")
         assert len(local) == 1  # header only: 26 and 30 are missing
+
+    def test_local_min_skipped_when_center_flagged(self, tmp_path):
+        # A constant plane codes to zero levels, so every source rate is 0 and
+        # every record, the qp_s = qp_t = 28 center included, is flagged.
+        pgm = tmp_path / "flat.pgm"
+        pgm.write_bytes(encode_pgm(np.full((32, 32), 128, dtype=np.uint8)))
+        prefix = tmp_path / "flat"
+        code = main(
+            ["cpdt-sweep", "--input", str(pgm), "--qp-s", "28",
+             "--qp-t", "26:30:1", "--out-prefix", str(prefix)]
+        )
+        assert code == 0
+        records = _rows(tmp_path / "flat_records.csv")
+        assert len(records) == 1 + 5
+        assert all(r.endswith(",undefined_ratio") for r in records[1:])
+        assert _rows(tmp_path / "flat_local_min.csv") == [
+            "plane_id,qp_s,best_qp_t,matches,delta_at_qp_s"
+        ]
