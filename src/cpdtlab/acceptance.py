@@ -5,8 +5,8 @@ requantization identities and trends over the integer coefficient domain,
 near-losslessness of the integer transform chain, cascaded-transcode quality
 trends on synthetic planes, and byte-level determinism of the CLI artifacts.
 
-`run_all` is the single source of truth: the CLI `verify` subcommand and the
-acceptance test module both dispatch to it.
+`CHECKS` is the single source of truth: `run_all` (behind the CLI `verify`
+subcommand) and the acceptance test module both dispatch to it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from .codec import ContentSpec, synth_content
 from .cpdt import (
     LOCAL_MIN_QPS,
-    RDCurve,
     TranscodeRecord,
     build_rd_curve,
     full_sweep,
@@ -55,8 +54,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class _PlaneCase:
     complexity: float
-    plane: np.ndarray
-    curve: RDCurve
     records: list[TranscodeRecord]
 
 
@@ -82,9 +79,8 @@ class AcceptanceContext:
                 plane = synth_content(
                     ContentSpec(seed=self.SEED, complexity=c, width=self.SIZE, height=self.SIZE)
                 )
-                curve = build_rd_curve(plane)
-                records = full_sweep(plane, direct_curve=curve)
-                built.append(_PlaneCase(complexity=c, plane=plane, curve=curve, records=records))
+                records = full_sweep(plane, direct_curve=build_rd_curve(plane))
+                built.append(_PlaneCase(complexity=c, records=records))
             self._cases = built
         return self._cases
 
@@ -386,16 +382,13 @@ def run_check(name: str, ctx: AcceptanceContext) -> CheckResult:
     return CheckResult(name=name, passed=passed, detail=detail, seconds=time.perf_counter() - t0)
 
 
-def run_all(
-    ctx: Optional[AcceptanceContext] = None,
-    progress: Optional[Callable[[CheckResult], None]] = None,
-) -> list[CheckResult]:
-    """Run every check in order, sharing one context; results in order."""
-    ctx = ctx if ctx is not None else AcceptanceContext()
+def run_all(progress: Callable[[CheckResult], None]) -> list[CheckResult]:
+    """Run every check in order on one fresh context, passing each result to
+    `progress` as it completes; results in order."""
+    ctx = AcceptanceContext()
     results = []
     for name, _fn in CHECKS:
         result = run_check(name, ctx)
         results.append(result)
-        if progress is not None:
-            progress(result)
+        progress(result)
     return results

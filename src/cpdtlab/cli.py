@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import secrets
 import sys
@@ -22,15 +23,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .codec import DEFAULT_BLOCK_SIZE, ContentSpec, synth_content
-from .cpdt import (
-    LOCAL_MIN_QPS,
-    LOCAL_MIN_RADIUS,
-    aggregate_by_ratio,
-    build_rd_curve,
-    full_sweep,
-    local_minimum_report,
-)
+from .codec import DEFAULT_BLOCK_SIZE, MAX_PIXELS, ContentSpec, synth_content
+from .cpdt import aggregate_by_ratio, build_rd_curve, full_sweep, local_minimum_report
 from .pgm import encode_pgm, read_pgm
 from .quantizer import AWAY_FROM_ZERO, TOWARD_ZERO, Quantizer, as_fraction
 from .requant import (
@@ -95,6 +89,16 @@ def _offset_arg(text: str) -> _Arg:
     if not 0 <= value < 1:
         raise argparse.ArgumentTypeError(f"offset must lie in [0, 1), got {text}")
     return _Arg(text, value)
+
+
+def _bin_width_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"bin width must be positive and finite, got {text}")
+    return value
 
 
 def _parse_range(text: str) -> list[Fraction]:
@@ -250,7 +254,7 @@ def _cmd_requant_surface(args: argparse.Namespace) -> int:
     rows = [
         [_fmt(p.qstep_s), _fmt(p.qstep_t), _fmt(p.e_a), _fmt(p.e_b), _fmt(p.ratio),
          p.metric, _fmt(p.offset), p.flag or ""]
-        for row in surface.cells
+        for row in surface
         for p in row
     ]
     payload = _csv_payload(meta, "qstep_s,qstep_t,e_a,e_b,ratio,metric,offset,flag", rows)
@@ -280,12 +284,18 @@ def _cmd_requant_overlap(args: argparse.Namespace) -> int:
     return 0
 
 
+def _content_spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ContentSpec:
+    """gen-content's plane; a bad value is a usage error, raised before any allocation."""
+    try:
+        return ContentSpec(
+            seed=args.seed, complexity=args.complexity, width=args.width, height=args.height
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _cmd_gen_content(args: argparse.Namespace) -> int:
-    spec = ContentSpec(
-        seed=args.seed, complexity=args.complexity, width=args.width, height=args.height
-    )
-    plane = synth_content(spec)
-    _write_outputs({Path(args.out): encode_pgm(plane)})
+    _write_outputs({Path(args.out): encode_pgm(synth_content(args.spec))})
     return 0
 
 
@@ -302,15 +312,6 @@ def _cmd_rd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eligible_local_min_qps(qp_s_values: Sequence[int], qp_t_values: Sequence[int]) -> list[int]:
-    qs, qt = set(qp_s_values), set(qp_t_values)
-    return [
-        q
-        for q in LOCAL_MIN_QPS
-        if q in qs and all(q + d in qt for d in range(-LOCAL_MIN_RADIUS, LOCAL_MIN_RADIUS + 1))
-    ]
-
-
 def _cmd_cpdt_sweep(args: argparse.Namespace) -> int:
     plane = read_pgm(args.input)
     plane_id = Path(args.input).stem
@@ -319,13 +320,7 @@ def _cmd_cpdt_sweep(args: argparse.Namespace) -> int:
         plane, args.qp_s.value, args.qp_t.value, curve, block_size=args.block_size
     )
     profile = aggregate_by_ratio(records, args.bin_width)
-    by_pair = {(r.qp_s, r.qp_t): r for r in records}
-    eligible = [
-        q
-        for q in _eligible_local_min_qps(args.qp_s.value, args.qp_t.value)
-        if by_pair[(q, q)].flag is None
-    ]
-    local_rows = local_minimum_report(records, eligible) if eligible else []
+    local_rows = local_minimum_report(records)
 
     config = {
         "input": args.input,
@@ -469,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--complexity", type=float, required=True,
                      help="content complexity in [0, 1]")
     gen.add_argument("--width", type=int, default=256, help="plane width (default 256)")
-    gen.add_argument("--height", type=int, default=256, help="plane height (default 256)")
+    gen.add_argument("--height", type=int, default=256,
+                     help=f"plane height (default 256); width x height <= {MAX_PIXELS}")
     gen.add_argument("--out", required=True, help="output PGM path")
     gen.set_defaults(handler=_cmd_gen_content)
 
@@ -489,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="source qp value or range (default 0:51:1)")
     cpdt.add_argument("--qp-t", type=_int_range_arg, default=_Arg("0:51:1", list(range(52))),
                       help="target qp value or range (default 0:51:1)")
-    cpdt.add_argument("--bin-width", type=float, default=0.05,
-                      help="transcoding-ratio bin width (default 0.05)")
+    cpdt.add_argument("--bin-width", type=_bin_width_arg, default=0.05,
+                      help="transcoding-ratio bin width, positive and finite (default 0.05)")
     cpdt.add_argument("--block-size", type=int, choices=TRANSFORM_SIZES,
                       default=DEFAULT_BLOCK_SIZE, help="transform block size")
     cpdt.add_argument("--out-prefix", required=True,
@@ -508,6 +504,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "gen-content":
+            args.spec = _content_spec(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     handler = getattr(args, "handler", None)

@@ -36,6 +36,7 @@ __all__ = [
     "CODEC_DEADZONE_OFFSET",
     "DEFAULT_BLOCK_SIZE",
     "QP_RANGE",
+    "MAX_PIXELS",
     "EncodedPlane",
     "ContentSpec",
     "coeff_qstep",
@@ -58,6 +59,10 @@ DEFAULT_BLOCK_SIZE = 8
 
 QP_RANGE = range(0, 52)
 
+# Largest synthetic plane: 2048x2048, room for 1920x1080.  synth_content holds
+# several float64 arrays of this many values.
+MAX_PIXELS = 1 << 22
+
 
 @dataclass(frozen=True)
 class EncodedPlane:
@@ -76,7 +81,8 @@ class EncodedPlane:
 
 @dataclass(frozen=True)
 class ContentSpec:
-    """Parameters of the synthetic test content generator."""
+    """Parameters of the synthetic test content generator; at most MAX_PIXELS
+    samples, so a typo in a dimension fails at once instead of allocating."""
 
     seed: int
     complexity: float
@@ -88,6 +94,11 @@ class ContentSpec:
             raise ValueError(f"complexity must be in [0, 1], got {self.complexity}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"bad dimensions {self.width}x{self.height}")
+        if self.width * self.height > MAX_PIXELS:
+            raise ValueError(
+                f"{self.width}x{self.height} has {self.width * self.height} pixels; "
+                f"the limit is {MAX_PIXELS}"
+            )
 
 
 def _check_plane(plane: np.ndarray, name: str = "plane") -> np.ndarray:

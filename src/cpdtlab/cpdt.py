@@ -63,6 +63,10 @@ RATE_OUT_OF_SPAN = "rate_out_of_span"
 LOCAL_MIN_QPS = (22, 28, 32, 38)
 LOCAL_MIN_RADIUS = 2
 
+# Most bins one ratio profile may hold; the count is checked before the bins
+# are built.  A 0.05-wide profile of ratios up to 500 fits.
+MAX_RATIO_BINS = 10_000
+
 
 class RateOutOfSpanError(ValueError):
     """Requested rate lies outside the interpolable span of an RD curve."""
@@ -257,9 +261,13 @@ def full_sweep(
 def aggregate_by_ratio(
     records: Sequence[TranscodeRecord], bin_width: float = 0.05
 ) -> RatioProfile:
-    """Pool non-flagged records into contiguous ratio bins of equal width."""
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    """Pool non-flagged records into contiguous ratio bins of equal width.
+
+    Raises ValueError when bin_width is not positive and finite, or when the
+    bins would number more than MAX_RATIO_BINS.
+    """
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
     kept = [r for r in records if r.flag is None]
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
@@ -268,6 +276,10 @@ def aggregate_by_ratio(
         sums[idx] = sums.get(idx, 0.0) + rec.delta_psnr
         counts[idx] = counts.get(idx, 0) + 1
     top = max(counts) + 1 if counts else 0
+    if top > MAX_RATIO_BINS:
+        raise ValueError(
+            f"bin width {bin_width} needs {top} ratio bins; the limit is {MAX_RATIO_BINS}"
+        )
     bins = []
     for i in range(top):
         n = counts.get(i, 0)
@@ -279,25 +291,26 @@ def aggregate_by_ratio(
 def local_minimum_report(
     records: Sequence[TranscodeRecord],
     qp_s_values: Optional[Sequence[int]] = None,
-    radius: int = LOCAL_MIN_RADIUS,
 ) -> list[LocalMinimumRow]:
-    """Argmin of |delta_psnr| over qp_t in [qp_s - radius, qp_s + radius].
+    """Argmin of |delta_psnr| over qp_t within LOCAL_MIN_RADIUS of qp_s.
 
-    With qp_s_values omitted, reports every qp_s in the records whose full
-    qp_t neighborhood is present; naming a qp_s whose neighborhood is
-    incomplete (or whose center record is flagged) raises ValueError.
+    With qp_s_values omitted, reports each LOCAL_MIN_QPS entry whose full
+    qp_t neighborhood is in the records and whose center record is not
+    flagged; naming a qp_s whose neighborhood is incomplete (or whose center
+    record is flagged) raises ValueError.
     """
     by_pair = {(r.qp_s, r.qp_t): r for r in records}
+    offsets = range(-LOCAL_MIN_RADIUS, LOCAL_MIN_RADIUS + 1)
     if qp_s_values is None:
-        qp_s_values = sorted(
-            qp_s
-            for qp_s in {r.qp_s for r in records}
-            if all((qp_s, qp_s + d) in by_pair for d in range(-radius, radius + 1))
-        )
+        qp_s_values = [
+            q
+            for q in LOCAL_MIN_QPS
+            if all((q, q + d) in by_pair for d in offsets) and by_pair[(q, q)].flag is None
+        ]
     rows = []
     for qp_s in qp_s_values:
         neighborhood = []
-        for d in range(-radius, radius + 1):
+        for d in offsets:
             rec = by_pair.get((qp_s, qp_s + d))
             if rec is None:
                 raise ValueError(f"missing record for qp_s={qp_s}, qp_t={qp_s + d}")

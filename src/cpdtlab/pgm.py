@@ -1,10 +1,10 @@
-"""Binary PGM (P5, maxval 255) reading and writing, bit-exact round trip."""
+"""Binary PGM (P5, maxval 255) reading and encoding, bit-exact round trip."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["read_pgm", "write_pgm", "encode_pgm"]
+__all__ = ["read_pgm", "encode_pgm"]
 
 
 def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -64,9 +64,3 @@ def encode_pgm(plane: np.ndarray) -> bytes:
     height, width = plane.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     return header + np.ascontiguousarray(plane).tobytes()
-
-
-def write_pgm(path: str, plane: np.ndarray) -> None:
-    """Write a (height, width) uint8 array as binary PGM with maxval 255."""
-    with open(path, "wb") as f:
-        f.write(encode_pgm(plane))

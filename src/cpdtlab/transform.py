@@ -4,10 +4,10 @@ The matrices and shift schedule follow the H.265/HEVC core transform
 (ISO/IEC 23008-2 section 8.6; transformation process for scaled transform
 coefficients): two separable one-dimensional passes, a rounded right-shift
 after each pass, and every intermediate clipped to signed 16 bits, sign bit
-included.  For residual bit depth B:
+included.  For 8-bit video (9-bit residuals in [-256, 255]):
 
-    forward shifts:  log2(N) - 1 + (B - 8), then log2(N) + 6
-    inverse shifts:  7, then 20 - B
+    forward shifts:  log2(N) - 1, then log2(N) + 6
+    inverse shifts:  7, then 12
 
 The integer chain carries a fixed gain over the orthonormal DCT-II:
 ``orthonormal_gain(N) = 128 / N`` (16 for 8x8, 32 for 4x4), so a constant
@@ -32,7 +32,6 @@ __all__ = [
     "orthonormal_gain",
     "forward_transform",
     "inverse_transform",
-    "residual_range",
 ]
 
 COEFF_MIN = -32768
@@ -74,8 +73,12 @@ _FLOAT_MATRICES = {
     n: (t.astype(np.float64), t.T.astype(np.float64, order="C")) for n, t in _MATRICES.items()
 }
 
-# Inputs must fit in signed 32 bits, far beyond any residual (bit depth <= 19)
-# or 16-bit coefficient; the bound keeps _stage exact.
+# Inverse output range: the signed 9-bit residual of 8-bit video.
+_RESIDUAL_MIN = -256
+_RESIDUAL_MAX = 255
+
+# Inputs must fit in signed 32 bits, far beyond any residual or 16-bit
+# coefficient; the bound keeps _stage exact.
 _INPUT_MIN = -(1 << 31)
 _INPUT_MAX = (1 << 31) - 1
 
@@ -92,11 +95,6 @@ def orthonormal_gain(size: int) -> float:
     if size not in _MATRICES:
         raise ValueError(f"unsupported transform size {size}; choose from {TRANSFORM_SIZES}")
     return 128.0 / size
-
-
-def residual_range(bit_depth: int = 8) -> tuple[int, int]:
-    """Signed residual range for a given video bit depth (9 bits for 8-bit video)."""
-    return -(1 << bit_depth), (1 << bit_depth) - 1
 
 
 def _stage(a: np.ndarray, b: np.ndarray, shift: int) -> np.ndarray:
@@ -120,17 +118,6 @@ def _clip16(x: np.ndarray) -> np.ndarray:
     return np.clip(x, COEFF_MIN, COEFF_MAX, out=x)
 
 
-def _check_bit_depth(bit_depth: int, size: int) -> None:
-    # Every shift of the schedule must be at least 1: the first forward shift
-    # log2(N) - 1 + (B - 8) bounds B from below, the last inverse shift 20 - B
-    # from above.
-    lo = 10 - (size.bit_length() - 1)
-    if not lo <= bit_depth <= 19:
-        raise ValueError(
-            f"bit_depth must be in {lo}..19 for {size}x{size} blocks, got {bit_depth}"
-        )
-
-
 def _check_block(block: np.ndarray, name: str) -> tuple[np.ndarray, int]:
     block = np.asarray(block)
     if block.ndim < 2 or block.shape[-1] != block.shape[-2]:
@@ -148,45 +135,35 @@ def _check_block(block: np.ndarray, name: str) -> tuple[np.ndarray, int]:
     return block.astype(np.float64), size
 
 
-def forward_transform(block: np.ndarray, bit_depth: int = 8) -> np.ndarray:
+def forward_transform(block: np.ndarray) -> np.ndarray:
     """Forward 2-D integer transform of residual block(s).
 
     Args:
         block: integer array of shape (..., N, N), N in TRANSFORM_SIZES.
-        bit_depth: residual bit depth B, 8..19 for 4x4 and 7..19 for 8x8
-            (the range where every shift is at least 1); 8 by default.
 
     Returns:
         int64 coefficient array of the same shape, every stage clipped to
         [-32768, 32767].
 
     Raises:
-        ValueError: a value lies outside signed 32 bits, or bit_depth or the
-            block shape is out of range.
+        ValueError: a value lies outside signed 32 bits, or the block shape
+            is out of range.
     """
     x, size = _check_block(block, "block")
-    _check_bit_depth(bit_depth, size)
     t, t_transposed = _FLOAT_MATRICES[size]
     log2n = size.bit_length() - 1
-    shift1 = log2n - 1 + (bit_depth - 8)
-    shift2 = log2n + 6
-    x = _clip16(_stage(t, x, shift1)).astype(np.float64)
-    return _clip16(_stage(x, t_transposed, shift2))
+    x = _clip16(_stage(t, x, log2n - 1)).astype(np.float64)
+    return _clip16(_stage(x, t_transposed, log2n + 6))
 
 
-def inverse_transform(coeff: np.ndarray, bit_depth: int = 8) -> np.ndarray:
+def inverse_transform(coeff: np.ndarray) -> np.ndarray:
     """Inverse 2-D integer transform of coefficient block(s).
 
-    Output is clipped to the residual range for the bit depth
-    ([-256, 255] for 8-bit video); bit_depth and the input values are
-    bounded as in forward_transform.
+    Output is clipped to the residual range [-256, 255]; the input values
+    are bounded as in forward_transform.
     """
     c, size = _check_block(coeff, "coeff")
-    _check_bit_depth(bit_depth, size)
     t, t_transposed = _FLOAT_MATRICES[size]
-    shift1 = 7
-    shift2 = 20 - bit_depth
-    c = _clip16(_stage(t_transposed, c, shift1)).astype(np.float64)
-    residual = _stage(c, t, shift2)
-    lo, hi = residual_range(bit_depth)
-    return np.clip(residual, lo, hi, out=residual)
+    c = _clip16(_stage(t_transposed, c, 7)).astype(np.float64)
+    residual = _stage(c, t, 12)
+    return np.clip(residual, _RESIDUAL_MIN, _RESIDUAL_MAX, out=residual)

@@ -15,6 +15,7 @@ from cpdtlab.cli import (
     _parse_range,
     main,
 )
+from cpdtlab.codec import MAX_PIXELS
 from cpdtlab.pgm import encode_pgm
 from cpdtlab.requant import MAX_DOMAIN_SIZE
 
@@ -140,6 +141,45 @@ class TestExitCodes:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "wide"])
+    def test_bad_bin_width_is_usage_error(self, value, tmp_path, capsys):
+        # Refused while parsing: the input file does not even exist.
+        prefix = tmp_path / "run"
+        code = main(["cpdt-sweep", "--input", str(tmp_path / "absent.pgm"),
+                     f"--bin-width={value}", "--out-prefix", str(prefix)])
+        assert code == 1
+        assert "argument --bin-width" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bin_count_cap_is_runtime_error(self, tmp_path, capsys):
+        pgm = tmp_path / "p.pgm"
+        main(["gen-content", "--seed", "5", "--complexity", "0.6",
+              "--width", "16", "--height", "16", "--out", str(pgm)])
+        code = main(["cpdt-sweep", "--input", str(pgm), "--qp-s", "28", "--qp-t", "28",
+                     "--bin-width", "1e-300", "--out-prefix", str(tmp_path / "run")])
+        assert code == 2
+        assert "limit" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["p.pgm"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--width", "-3"], "bad dimensions"),
+            (["--height", "0"], "bad dimensions"),
+            (["--complexity", "1.5"], "complexity"),
+            (["--complexity", "nan"], "complexity"),
+            (["--width", str(MAX_PIXELS + 1), "--height", "1"], "limit"),
+        ],
+    )
+    def test_bad_gen_content_is_usage_error(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "plane.pgm"
+        argv = ["gen-content", "--seed", "1", "--complexity", "0.5", "--out", str(out)]
+        assert main(argv + flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenContent:

@@ -5,6 +5,7 @@ import pytest
 
 from cpdtlab.codec import (
     DEFAULT_BLOCK_SIZE,
+    MAX_PIXELS,
     PSNR_CAP,
     QP_RANGE,
     ContentSpec,
@@ -55,6 +56,13 @@ class TestSynthContent:
             ContentSpec(seed=1, complexity=1.5)
         with pytest.raises(ValueError):
             ContentSpec(seed=1, complexity=0.5, width=0)
+
+    def test_pixel_cap(self):
+        # Only specs are built: no plane of this size is ever synthesized.
+        assert 1920 * 1080 < MAX_PIXELS
+        ContentSpec(seed=1, complexity=0.5, width=MAX_PIXELS, height=1)
+        with pytest.raises(ValueError, match="limit"):
+            ContentSpec(seed=1, complexity=0.5, width=MAX_PIXELS + 1, height=1)
 
 
 class TestEncodeDecode:

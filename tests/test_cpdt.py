@@ -15,12 +15,14 @@ from cpdtlab.codec import (
     synth_content,
 )
 from cpdtlab.cpdt import (
+    MAX_RATIO_BINS,
     RATE_OUT_OF_SPAN,
     UNDEFINED_RATIO,
     LocalMinimumRow,
     RateOutOfSpanError,
     RDCurve,
     RDPoint,
+    TranscodeRecord,
     aggregate_by_ratio,
     build_rd_curve,
     full_sweep,
@@ -250,8 +252,23 @@ class TestAggregate:
                 assert a.mean_delta_psnr == pytest.approx(b.mean_delta_psnr, abs=1e-9)
 
     def test_bad_bin_width_rejected(self, sweep64):
-        with pytest.raises(ValueError):
-            aggregate_by_ratio(sweep64, bin_width=0.0)
+        for bin_width in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                aggregate_by_ratio(sweep64, bin_width=bin_width)
+
+    def test_bin_count_cap(self):
+        # Two records whose ratios span MAX_RATIO_BINS bins of width 1, then one
+        # bin more; the second profile is refused before any bin is built.
+        def record(ratio):
+            return TranscodeRecord(
+                qp_s=30, qp_t=30, source_rate=1.0, target_rate=ratio, ratio=ratio,
+                psnr_r=40.0, psnr_t=39.0, psnr_c=39.5, delta_psnr=-0.5,
+            )
+
+        at_cap = aggregate_by_ratio([record(0.5), record(MAX_RATIO_BINS - 0.5)], bin_width=1.0)
+        assert len(at_cap.bins) == MAX_RATIO_BINS
+        with pytest.raises(ValueError, match="limit"):
+            aggregate_by_ratio([record(0.5), record(MAX_RATIO_BINS + 0.5)], bin_width=1.0)
 
     def test_flagged_records_are_excluded(self, sweep64):
         plane = np.full((32, 32), 128, dtype=np.uint8)
@@ -264,16 +281,20 @@ class TestAggregate:
 
 class TestLocalMinimum:
     def test_auto_eligibility(self, sweep64):
+        # Of LOCAL_MIN_QPS only 28 has qp_s in 24..30; its qp_t 26..30 lie in 22..34.
         rows = local_minimum_report(sweep64)
-        assert [r.qp_s for r in rows] == list(range(24, 31))
+        assert [r.qp_s for r in rows] == [28]
         for row in rows:
             assert isinstance(row, LocalMinimumRow)
             assert row.matches == (row.best_qp_t == row.qp_s)
             assert row.delta_at_qp_s < 0.0
 
-    def test_radius_zero_trivially_matches(self, sweep64):
-        rows = local_minimum_report(sweep64, radius=0)
-        assert rows and all(r.matches for r in rows)
+    def test_auto_skips_flagged_center(self):
+        plane = np.full((32, 32), 128, dtype=np.uint8)
+        curve = build_rd_curve(plane, qps=[20, 30])
+        records = full_sweep(plane, [28], range(26, 31), curve)
+        assert all(r.flag == UNDEFINED_RATIO for r in records)
+        assert local_minimum_report(records) == []
 
     def test_missing_neighborhood_raises(self, sweep64):
         with pytest.raises(ValueError, match="missing"):

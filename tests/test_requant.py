@@ -22,11 +22,9 @@ from cpdtlab.requant import (
     CoefficientDomain,
     boundary_overlap,
     convention_audit,
-    direct_error,
     error_ratio,
     error_surface,
     pointwise_errors,
-    requant_error,
     sweep_qstep_t,
 )
 
@@ -52,15 +50,15 @@ class TestFrozenValues:
     def test_direct_error_period_mean(self):
         # Each length-20 period contributes errors 0..19, mean 9.5.
         domain = CoefficientDomain(0, 19999)
-        assert direct_error(Quantizer(20), domain) == 9.5
+        assert error_ratio(Quantizer(20), Quantizer(20), domain).e_a == 9.5
 
     def test_chain_equals_direct_for_nested_steps(self):
         # floor(floor(x/10)*10 / 20)*20 == floor(x/20)*20 on integers.
         domain = CoefficientDomain(0, 19999)
-        assert requant_error(Quantizer(10), Quantizer(20), domain) == 9.5
+        assert error_ratio(Quantizer(10), Quantizer(20), domain).e_b == 9.5
 
     def test_unit_target_step_is_lossless_on_integers(self):
-        assert direct_error(Quantizer(1), CoefficientDomain(-500, 499)) == 0.0
+        assert error_ratio(Quantizer(1), Quantizer(1), CoefficientDomain(-500, 499)).e_a == 0.0
 
     def test_exact_multiple_ratio_is_exactly_one(self):
         q_s = Quantizer(12)
@@ -72,7 +70,8 @@ class TestFrozenValues:
     def test_same_step_chain_equals_direct(self):
         domain = CoefficientDomain(-2048, 2047)
         q = Quantizer(17, Fraction(1, 3))
-        assert requant_error(q, q, domain) == direct_error(q, domain)
+        pt = error_ratio(q, q, domain)
+        assert pt.e_b == pt.e_a
 
 
 class TestAgainstScalarOracle:
@@ -89,12 +88,11 @@ class TestAgainstScalarOracle:
         domain = CoefficientDomain(-300, 299)
         q_s = Quantizer(qstep_s, offset)
         q_t = Quantizer(qstep_t, offset)
-        impl_a = direct_error(q_t, domain)
-        impl_b = requant_error(q_s, q_t, domain)
+        pt = error_ratio(q_s, q_t, domain)
         oracle_a = _oracle_direct_error(q_t, domain.lo, domain.hi)
         oracle_b = _oracle_chain_error(q_s, q_t, domain.lo, domain.hi)
-        assert impl_a == pytest.approx(float(oracle_a), abs=1e-12)
-        assert impl_b == pytest.approx(float(oracle_b), abs=1e-12)
+        assert pt.e_a == pytest.approx(float(oracle_a), abs=1e-12)
+        assert pt.e_b == pytest.approx(float(oracle_b), abs=1e-12)
 
     def test_pointwise_errors_are_exact_numerators(self):
         domain = CoefficientDomain(-60, 59)
@@ -138,16 +136,16 @@ class TestMetrics:
     def test_metric_relationships(self):
         domain = CoefficientDomain(-999, 999)
         q_s, q_t = Quantizer(10), Quantizer(25)
-        rms = requant_error(q_s, q_t, domain, RMS)
-        mse = requant_error(q_s, q_t, domain, MSE)
-        mean_abs = requant_error(q_s, q_t, domain, MEAN_ABS)
+        rms = error_ratio(q_s, q_t, domain, RMS).e_b
+        mse = error_ratio(q_s, q_t, domain, MSE).e_b
+        mean_abs = error_ratio(q_s, q_t, domain, MEAN_ABS).e_b
         assert rms == pytest.approx(math.sqrt(mse), abs=1e-12)
         assert mean_abs <= rms  # Jensen
         assert rms > 0
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
-            direct_error(Quantizer(10), DEFAULT_DOMAIN, "median")
+            error_ratio(Quantizer(10), Quantizer(10), DEFAULT_DOMAIN, "median")
 
 
 class TestUndefinedRatio:
@@ -167,15 +165,15 @@ class TestSweepAndSurface:
     def test_surface_diagonal_is_one(self):
         axes = [8, 10, 12]
         surf = error_surface(axes, axes, CoefficientDomain(-2048, 2047))
-        assert surf.shape == (3, 3)
+        assert [len(row) for row in surf] == [3, 3, 3]
         for i in range(3):
-            assert surf.cells[i][i].ratio == 1.0
+            assert surf[i][i].ratio == 1.0
 
     def test_single_cell_surface_reduces_to_error_ratio(self):
         domain = CoefficientDomain(-512, 511)
         surf = error_surface([10], [25], domain)
         pt = error_ratio(Quantizer(10), Quantizer(25), domain)
-        assert surf.cells[0][0] == pt
+        assert surf == [[pt]]
 
 
 class TestBoundaryOverlap:

@@ -8,7 +8,6 @@ from cpdtlab.transform import (
     forward_transform,
     inverse_transform,
     orthonormal_gain,
-    residual_range,
     transform_matrix,
 )
 
@@ -24,19 +23,18 @@ def _clip16(x):
     return np.clip(x, -32768, 32767)
 
 
-def _reference_forward(block, bit_depth):
+def _reference_forward(block):
     """The transform as plain int64 matmul, independent of the float path."""
     t = transform_matrix(block.shape[-1]).astype(np.int64)
     log2n = block.shape[-1].bit_length() - 1
-    stage1 = _clip16(_round_shift(np.matmul(t, block.astype(np.int64)), log2n - 9 + bit_depth))
+    stage1 = _clip16(_round_shift(np.matmul(t, block.astype(np.int64)), log2n - 1))
     return _clip16(_round_shift(np.matmul(stage1, t.T), log2n + 6))
 
 
-def _reference_inverse(coeff, bit_depth):
+def _reference_inverse(coeff):
     t = transform_matrix(coeff.shape[-1]).astype(np.int64)
     stage1 = _clip16(_round_shift(np.matmul(t.T, coeff.astype(np.int64)), 7))
-    lo, hi = residual_range(bit_depth)
-    return np.clip(_round_shift(np.matmul(stage1, t), 20 - bit_depth), lo, hi)
+    return np.clip(_round_shift(np.matmul(stage1, t), 12), -256, 255)
 
 
 class TestMatrices:
@@ -131,16 +129,21 @@ class TestForward:
 class TestInverse:
     @pytest.mark.parametrize("size", TRANSFORM_SIZES)
     def test_output_stays_in_residual_range(self, size):
-        lo, hi = residual_range(8)
         rng = np.random.default_rng(7)
         coeff = rng.integers(-32768, 32768, size=(200, size, size), dtype=np.int64)
         recon = inverse_transform(coeff)
-        assert recon.min() >= lo
-        assert recon.max() <= hi
+        assert recon.min() >= -256
+        assert recon.max() <= 255
 
     def test_residual_range_values(self):
-        assert residual_range(8) == (-256, 255)
-        assert residual_range(10) == (-1024, 1023)
+        # A full-scale DC coefficient reaches both ends of the 9-bit residual
+        # range: 32767 would decode to 256 unclipped, -32768 decodes to -256.
+        for size in TRANSFORM_SIZES:
+            dc = np.zeros((2, size, size), dtype=np.int64)
+            dc[:, 0, 0] = 32767, -32768
+            recon = inverse_transform(dc)
+            assert np.all(recon[0] == 255)
+            assert np.all(recon[1] == -256)
 
 
 class TestRoundtrip:
@@ -187,38 +190,18 @@ class TestRoundtrip:
         assert twice <= 2 * once
 
 
-class TestBitDepth:
-    # The shift schedule needs every shift >= 1: B >= 8 (4x4) or 7 (8x8) for
-    # the first forward shift, B <= 19 for the last inverse shift.
-    EDGES = [(4, 8), (4, 19), (8, 7), (8, 19)]
-
-    @pytest.mark.parametrize("size, bit_depth", EDGES)
-    def test_matches_int64_reference(self, size, bit_depth):
+class TestInt64Reference:
+    @pytest.mark.parametrize("size", TRANSFORM_SIZES)
+    def test_matches_int64_reference(self, size):
         # Full-range 32-bit blocks, their extremes, and residual-sized blocks:
         # the float64 products must give the exact integers of int64 matmul.
-        rng = np.random.default_rng(size * 100 + bit_depth)
+        rng = np.random.default_rng(size)
         wide = rng.integers(INT32_MIN, INT32_MAX, size=(300, size, size), endpoint=True)
         wide[:100].flat[rng.integers(0, 100 * size * size, 400)] = INT32_MAX
         wide[:100].flat[rng.integers(0, 100 * size * size, 400)] = -INT32_MAX
         wide[100:150] = rng.choice([-INT32_MAX, INT32_MAX, INT32_MIN], size=(50, size, size))
-        lo, hi = residual_range(bit_depth)
-        residual = rng.integers(lo, hi, size=(300, size, size), endpoint=True)
+        residual = rng.integers(-256, 255, size=(300, size, size), endpoint=True)
         coeff = rng.integers(-32768, 32767, size=(300, size, size), endpoint=True)
         for blocks in (wide, residual, coeff):
-            assert np.array_equal(
-                forward_transform(blocks, bit_depth), _reference_forward(blocks, bit_depth)
-            )
-            assert np.array_equal(
-                inverse_transform(blocks, bit_depth), _reference_inverse(blocks, bit_depth)
-            )
-
-    @pytest.mark.parametrize("size, lo", [(4, 8), (8, 7)])
-    def test_edges(self, size, lo):
-        block = np.full((size, size), 3, dtype=np.int64)
-        for bit_depth in (lo, 19):
-            forward_transform(block, bit_depth)
-            inverse_transform(block, bit_depth)
-        for bit_depth in (lo - 1, 20):
-            for fn in (forward_transform, inverse_transform):
-                with pytest.raises(ValueError, match=f"bit_depth must be in {lo}..19"):
-                    fn(block, bit_depth)
+            assert np.array_equal(forward_transform(blocks), _reference_forward(blocks))
+            assert np.array_equal(inverse_transform(blocks), _reference_inverse(blocks))
