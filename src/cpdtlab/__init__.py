@@ -1,61 +1,8 @@
 """cpdtlab: dead-zone requantization analysis and a toy transform codec
-for cascaded pixel-domain transcoding experiments."""
+for cascaded pixel-domain transcoding experiments.
+
+Import names from the submodules (`cpdtlab.quantizer`, `cpdtlab.cpdt`, ...);
+the package itself exports only `__version__`.
+"""
 
 __version__ = "0.1.0"
-
-from .codec import ContentSpec, decode_plane, encode_plane, estimate_rate, psnr, synth_content
-from .cpdt import (
-    RDCurve,
-    TranscodeRecord,
-    aggregate_by_ratio,
-    build_rd_curve,
-    full_sweep,
-    interp_psnr_at_rate,
-    local_minimum_report,
-    transcode,
-)
-from .quantizer import AWAY_FROM_ZERO, TOWARD_ZERO, Quantizer, as_fraction, qp_to_qstep
-from .requant import (
-    DEFAULT_DOMAIN,
-    CoefficientDomain,
-    boundary_overlap,
-    convention_audit,
-    error_ratio,
-    error_surface,
-    sweep_qstep_t,
-)
-from .transform import forward_transform, inverse_transform, orthonormal_gain, transform_matrix
-
-__all__ = [
-    "__version__",
-    "Quantizer",
-    "as_fraction",
-    "qp_to_qstep",
-    "TOWARD_ZERO",
-    "AWAY_FROM_ZERO",
-    "CoefficientDomain",
-    "DEFAULT_DOMAIN",
-    "error_ratio",
-    "sweep_qstep_t",
-    "error_surface",
-    "boundary_overlap",
-    "convention_audit",
-    "forward_transform",
-    "inverse_transform",
-    "transform_matrix",
-    "orthonormal_gain",
-    "ContentSpec",
-    "synth_content",
-    "encode_plane",
-    "decode_plane",
-    "estimate_rate",
-    "psnr",
-    "RDCurve",
-    "TranscodeRecord",
-    "build_rd_curve",
-    "interp_psnr_at_rate",
-    "transcode",
-    "full_sweep",
-    "aggregate_by_ratio",
-    "local_minimum_report",
-]

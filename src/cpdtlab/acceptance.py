@@ -30,7 +30,7 @@ from .cpdt import (
     full_sweep,
     local_minimum_report,
 )
-from .quantizer import Quantizer, as_fraction
+from .quantizer import QP_RANGE, Quantizer, as_fraction
 from .requant import (
     boundary_overlap,
     convention_audit,
@@ -79,7 +79,7 @@ class AcceptanceContext:
                 plane = synth_content(
                     ContentSpec(seed=self.SEED, complexity=c, width=self.SIZE, height=self.SIZE)
                 )
-                records = full_sweep(plane, direct_curve=build_rd_curve(plane))
+                records = full_sweep(plane, QP_RANGE, QP_RANGE, build_rd_curve(plane))
                 built.append(_PlaneCase(complexity=c, records=records))
             self._cases = built
         return self._cases
@@ -225,21 +225,21 @@ def _check_transform_near_lossless(ctx: AcceptanceContext) -> tuple[bool, str]:
 def _check_matched_qp_local_minimum(ctx: AcceptanceContext) -> tuple[bool, str]:
     """Re-encoding at qp_t = qp_s minimizes |delta PSNR| and still loses quality."""
     t0 = time.perf_counter()
-    rows = [
-        row
-        for case in ctx.cases()
-        for row in local_minimum_report(case.records, LOCAL_MIN_QPS)
-    ]
+    reports = [local_minimum_report(case.records) for case in ctx.cases()]
     elapsed = time.perf_counter() - t0
+    rows = [row for report in reports for row in report]
+    complete = all([row.qp_s for row in report] == list(LOCAL_MIN_QPS) for report in reports)
     matches = sum(row.matches for row in rows)
     deltas = [row.delta_at_qp_s for row in rows]
     all_negative = all(d < 0 for d in deltas)
     detail = (
         f"argmin matches {matches}/{len(rows)} (needs >= {math.ceil(0.75 * len(rows))}); "
-        f"delta at qp_t=qp_s in [{min(deltas):.5f}, {max(deltas):.5f}] dB, all negative: "
+        f"every plane reports qp_s {list(LOCAL_MIN_QPS)}: {complete}; "
+        f"delta at qp_t=qp_s in [{min(deltas, default=math.nan):.5f}, "
+        f"{max(deltas, default=math.nan):.5f}] dB, all negative: "
         f"{all_negative}; {elapsed:.0f}s (budget 600s)"
     )
-    return matches >= 0.75 * len(rows) and all_negative and elapsed < 600.0, detail
+    return complete and matches >= 0.75 * len(rows) and all_negative and elapsed < 600.0, detail
 
 
 def _pooled_abs_delta(records: list[TranscodeRecord], lo: float, hi: float) -> list[float]:

@@ -26,7 +26,7 @@ from . import __version__
 from .codec import DEFAULT_BLOCK_SIZE, MAX_PIXELS, ContentSpec, synth_content
 from .cpdt import aggregate_by_ratio, build_rd_curve, full_sweep, local_minimum_report
 from .pgm import encode_pgm, read_pgm
-from .quantizer import AWAY_FROM_ZERO, TOWARD_ZERO, Quantizer, as_fraction
+from .quantizer import AWAY_FROM_ZERO, QP_RANGE, TOWARD_ZERO, Quantizer, as_fraction
 from .requant import (
     DEFAULT_DOMAIN,
     MEAN_ABS,
@@ -129,11 +129,20 @@ def _range_arg(text: str) -> _Arg:
     return _Arg(text, _parse_range(text))
 
 
-def _int_range_arg(text: str) -> _Arg:
+def _qp_range_arg(text: str) -> _Arg:
+    """A qp value or lo:hi:step range of them, each an integer in QP_RANGE."""
     values = _parse_range(text)
     if any(v.denominator != 1 for v in values):
         raise argparse.ArgumentTypeError(f"range must contain only integers, got {text!r}")
-    return _Arg(text, [int(v) for v in values])
+    qps = [int(v) for v in values]
+    if any(qp not in QP_RANGE for qp in qps):
+        raise argparse.ArgumentTypeError(
+            f"qp must lie in {QP_RANGE.start}..{QP_RANGE.stop - 1}, got {text!r}"
+        )
+    return _Arg(text, qps)
+
+
+_ALL_QPS = _Arg(f"{QP_RANGE.start}:{QP_RANGE.stop - 1}:1", list(QP_RANGE))
 
 
 def _domain_arg(text: str) -> _Arg:
@@ -471,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("rd-curve", help="rate-distortion curve of a plane")
     curve.add_argument("--input", required=True, help="input PGM path")
-    curve.add_argument("--qp", type=_int_range_arg, default=_Arg("0:51:1", list(range(52))),
-                       help="qp value or range lo:hi:step (default 0:51:1)")
+    curve.add_argument("--qp", type=_qp_range_arg, default=_ALL_QPS,
+                       help=f"qp value or range lo:hi:step (default {_ALL_QPS})")
     curve.add_argument("--block-size", type=int, choices=TRANSFORM_SIZES,
                        default=DEFAULT_BLOCK_SIZE, help="transform block size")
     curve.add_argument("--out", required=True, help="output CSV path")
@@ -481,10 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     cpdt = sub.add_parser("cpdt-sweep",
                           help="cascaded transcode sweep: records, ratio profile, local minima")
     cpdt.add_argument("--input", required=True, help="input PGM path")
-    cpdt.add_argument("--qp-s", type=_int_range_arg, default=_Arg("0:51:1", list(range(52))),
-                      help="source qp value or range (default 0:51:1)")
-    cpdt.add_argument("--qp-t", type=_int_range_arg, default=_Arg("0:51:1", list(range(52))),
-                      help="target qp value or range (default 0:51:1)")
+    cpdt.add_argument("--qp-s", type=_qp_range_arg, default=_ALL_QPS,
+                      help=f"source qp value or range (default {_ALL_QPS})")
+    cpdt.add_argument("--qp-t", type=_qp_range_arg, default=_ALL_QPS,
+                      help=f"target qp value or range (default {_ALL_QPS})")
     cpdt.add_argument("--bin-width", type=_bin_width_arg, default=0.05,
                       help="transcoding-ratio bin width, positive and finite (default 0.05)")
     cpdt.add_argument("--block-size", type=int, choices=TRANSFORM_SIZES,

@@ -27,7 +27,6 @@ import numpy as np
 
 from .codec import (
     DEFAULT_BLOCK_SIZE,
-    QP_RANGE,
     EncodedPlane,
     _quantize_plane,
     _transform_plane,
@@ -36,6 +35,7 @@ from .codec import (
     estimate_rate,
     psnr,
 )
+from .quantizer import QP_RANGE
 from .requant import UNDEFINED_RATIO
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "RateOutOfSpanError",
     "build_rd_curve",
     "interp_psnr_at_rate",
-    "transcode",
     "full_sweep",
     "aggregate_by_ratio",
     "local_minimum_report",
@@ -204,34 +203,17 @@ def interp_psnr_at_rate(curve: RDCurve, rate: float) -> float:
     return p0 + t * (p1 - p0)
 
 
-def transcode(
-    plane: np.ndarray,
-    qp_s: int,
-    qp_t: int,
-    direct_curve: Optional[RDCurve] = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> TranscodeRecord:
-    """Cascade one plane through qp_s then qp_t and score it.
-
-    The direct curve defaults to the plane's full 0..51 curve; pass one in
-    when scoring many pairs of the same plane to avoid rebuilding it.
-    """
-    return full_sweep(plane, [qp_s], [qp_t], direct_curve, block_size)[0]
-
-
 def full_sweep(
     plane: np.ndarray,
-    qp_s_values: Sequence[int] = QP_RANGE,
-    qp_t_values: Sequence[int] = QP_RANGE,
-    direct_curve: Optional[RDCurve] = None,
+    qp_s_values: Sequence[int],
+    qp_t_values: Sequence[int],
+    direct_curve: RDCurve,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[TranscodeRecord]:
-    """Every (qp_s, qp_t) pair; 52x52 by default, 2704 records.
+    """Every (qp_s, qp_t) pair, scored against the plane's direct curve.
 
     Each source reconstruction is transformed once and quantized at every qp_t.
     """
-    if direct_curve is None:
-        direct_curve = build_rd_curve(plane, block_size=block_size)
     records = []
     for qp_s in qp_s_values:
         source_rate, psnr_r, recon = _decode_score(plane, encode_plane(plane, qp_s, block_size))
@@ -288,36 +270,21 @@ def aggregate_by_ratio(
     return RatioProfile(bin_width=bin_width, bins=tuple(bins))
 
 
-def local_minimum_report(
-    records: Sequence[TranscodeRecord],
-    qp_s_values: Optional[Sequence[int]] = None,
-) -> list[LocalMinimumRow]:
+def local_minimum_report(records: Sequence[TranscodeRecord]) -> list[LocalMinimumRow]:
     """Argmin of |delta_psnr| over qp_t within LOCAL_MIN_RADIUS of qp_s.
 
-    With qp_s_values omitted, reports each LOCAL_MIN_QPS entry whose full
-    qp_t neighborhood is in the records and whose center record is not
-    flagged; naming a qp_s whose neighborhood is incomplete (or whose center
-    record is flagged) raises ValueError.
+    Reports each LOCAL_MIN_QPS entry whose full qp_t neighborhood is in the
+    records and whose center record is not flagged, and leaves out the rest.
     """
     by_pair = {(r.qp_s, r.qp_t): r for r in records}
-    offsets = range(-LOCAL_MIN_RADIUS, LOCAL_MIN_RADIUS + 1)
-    if qp_s_values is None:
-        qp_s_values = [
-            q
-            for q in LOCAL_MIN_QPS
-            if all((q, q + d) in by_pair for d in offsets) and by_pair[(q, q)].flag is None
-        ]
     rows = []
-    for qp_s in qp_s_values:
-        neighborhood = []
-        for d in offsets:
-            rec = by_pair.get((qp_s, qp_s + d))
-            if rec is None:
-                raise ValueError(f"missing record for qp_s={qp_s}, qp_t={qp_s + d}")
-            neighborhood.append(rec)
-        center = by_pair[(qp_s, qp_s)]
-        if center.flag is not None:
-            raise ValueError(f"center record (qp_s=qp_t={qp_s}) is flagged: {center.flag}")
+    for qp_s in LOCAL_MIN_QPS:
+        neighborhood = [
+            by_pair.get((qp_s, qp_s + d)) for d in range(-LOCAL_MIN_RADIUS, LOCAL_MIN_RADIUS + 1)
+        ]
+        center = neighborhood[LOCAL_MIN_RADIUS]
+        if any(r is None for r in neighborhood) or center.flag is not None:
+            continue
         scored = [r for r in neighborhood if r.flag is None]
         best = min(scored, key=lambda r: abs(r.delta_psnr))
         rows.append(

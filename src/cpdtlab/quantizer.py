@@ -32,6 +32,7 @@ __all__ = [
     "TOWARD_ZERO",
     "AWAY_FROM_ZERO",
     "Quantizer",
+    "QP_RANGE",
     "qp_to_qstep",
     "as_fraction",
 ]
@@ -42,6 +43,9 @@ AWAY_FROM_ZERO = "away-from-zero"
 _TIE_BREAKS = (TOWARD_ZERO, AWAY_FROM_ZERO)
 
 RationalLike = Union[int, float, str, Fraction]
+
+# Valid quantization parameters, HEVC's 0..51.
+QP_RANGE = range(0, 52)
 
 # int64 products in the vectorized path must stay below this; larger setups
 # fall back to exact Python-int (object dtype) arithmetic.
@@ -117,11 +121,6 @@ class Quantizer:
         """Reconstruction for a level: level * step."""
         return level * self.step
 
-    def pointwise_error(self, x: RationalLike) -> Fraction:
-        """|x - dequantize(quantize(x))| for a single value."""
-        xf = as_fraction(x)
-        return abs(xf - self.dequantize(self.quantize(xf)))
-
     def decision_boundaries(self, lo: RationalLike, hi: RationalLike) -> list[Fraction]:
         """All thresholds b in [lo, hi] where the level changes, ascending.
 
@@ -132,34 +131,19 @@ class Quantizer:
         lof, hif = as_fraction(lo), as_fraction(hi)
         if lof > hif:
             raise ValueError(f"empty range: [{lof}, {hif}]")
-        out: list[Fraction] = []
-        # positive side: (k - offset) * step <= hi
-        if hif > 0:
-            k = max(1, math.ceil(lof / self.step + self.offset))
-            while True:
-                b = (k - self.offset) * self.step
-                if b > hif:
-                    break
-                if b >= lof and b > 0:
-                    out.append(b)
-                k += 1
-        # negative side, mirrored
-        if lof < 0:
-            k = max(1, math.ceil(-hif / self.step + self.offset))
-            while True:
-                b = -(k - self.offset) * self.step
-                if b < lof:
-                    break
-                if b <= hif and b < 0:
-                    out.append(b)
-                k += 1
-        return sorted(out)
+        negative = [-b for b in reversed(self._positive_boundaries(-hif, -lof))]
+        return negative + self._positive_boundaries(lof, hif)
+
+    def _positive_boundaries(self, lo: Fraction, hi: Fraction) -> list[Fraction]:
+        """The boundaries (k - offset) * step, k >= 1, that lie in [lo, hi], ascending."""
+        out = []
+        k = max(1, math.ceil(lo / self.step + self.offset))
+        while (b := (k - self.offset) * self.step) <= hi:
+            out.append(b)
+            k += 1
+        return out
 
     # -- vectorized exact path ----------------------------------------------
-
-    def quantize_array(self, x: np.ndarray) -> np.ndarray:
-        """Exact vectorized quantize for integer-valued arrays."""
-        return self.quantize_scaled(np.asarray(x), 1)
 
     def quantize_scaled(self, num: np.ndarray, den: int) -> np.ndarray:
         """Exact vectorized quantize for the rational values num/den.
@@ -196,14 +180,14 @@ def qp_to_qstep(qp: int) -> float:
     +6 increment doubles the step bit-exactly.
 
     Args:
-        qp: integer quantization parameter in 0..51.
+        qp: integer quantization parameter in QP_RANGE.
 
     Returns:
         The positive step size as a float; qp=4 -> 1.0.
     """
     if not isinstance(qp, (int, np.integer)):
         raise TypeError(f"qp must be an integer, got {type(qp).__name__}")
-    if not 0 <= qp <= 51:
-        raise ValueError(f"qp out of range 0..51: {qp}")
+    if qp not in QP_RANGE:
+        raise ValueError(f"qp out of range {QP_RANGE.start}..{QP_RANGE.stop - 1}: {qp}")
     quot, rem = divmod(qp - 4, 6)
     return math.ldexp(2.0 ** (rem / 6.0), quot)

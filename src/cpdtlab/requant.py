@@ -180,7 +180,7 @@ def _error_numerators(
 
 def _chain_levels(q_s: Quantizer, q_t: Quantizer, x: np.ndarray) -> np.ndarray:
     """Target levels of the quantize-dequantize-requantize chain."""
-    lv1 = q_s.quantize_array(x)
+    lv1 = q_s.quantize_scaled(x, 1)
     # first-stage reconstruction lv1*sp/sq, fed exactly into the second stage
     return q_t.quantize_scaled(lv1 * q_s.step.numerator, q_s.step.denominator)
 
@@ -195,7 +195,7 @@ def pointwise_errors(
     Exact integer numerators; err/den gives the absolute error of each value.
     """
     x = domain.values()
-    e_a, den = _error_numerators(x, q_t.quantize_array(x), q_t.step)
+    e_a, den = _error_numerators(x, q_t.quantize_scaled(x, 1), q_t.step)
     e_b, _ = _error_numerators(x, _chain_levels(q_s, q_t, x), q_t.step)
     return e_a, e_b, den
 

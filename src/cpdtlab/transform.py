@@ -12,8 +12,9 @@ included.  For 8-bit video (9-bit residuals in [-256, 255]):
 The integer chain carries a fixed gain over the orthonormal DCT-II:
 ``orthonormal_gain(N) = 128 / N`` (16 for 8x8, 32 for 4x4), so a constant
 block of value v transforms to a DC coefficient of 128 * v at either size.
-Because of the staged shifts the chain is deliberately not lossless: a
-forward/inverse round trip may move a sample by one or two codes.
+Because of the staged shifts the 8x8 chain is deliberately not lossless: a
+forward/inverse round trip may move a sample by one or two codes.  The 4x4
+chain is exact on 8-bit residuals.
 
 The matrix products run as float64 BLAS and the shifts and clips as int64,
 so every result is the exact integer of the reference definition.  Input
@@ -28,7 +29,6 @@ __all__ = [
     "COEFF_MIN",
     "COEFF_MAX",
     "TRANSFORM_SIZES",
-    "transform_matrix",
     "orthonormal_gain",
     "forward_transform",
     "inverse_transform",
@@ -81,13 +81,6 @@ _RESIDUAL_MAX = 255
 # coefficient; the bound keeps _stage exact.
 _INPUT_MIN = -(1 << 31)
 _INPUT_MAX = (1 << 31) - 1
-
-
-def transform_matrix(size: int) -> np.ndarray:
-    """The N-point integer transform matrix (rows are basis vectors)."""
-    if size not in _MATRICES:
-        raise ValueError(f"unsupported transform size {size}; choose from {TRANSFORM_SIZES}")
-    return _MATRICES[size].copy()
 
 
 def orthonormal_gain(size: int) -> float:

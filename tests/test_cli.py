@@ -11,8 +11,8 @@ from cpdtlab.cli import (
     _create_staging,
     _domain_arg,
     _fmt,
-    _int_range_arg,
     _parse_range,
+    _qp_range_arg,
     main,
 )
 from cpdtlab.codec import MAX_PIXELS
@@ -78,8 +78,8 @@ class TestRangeParsing:
 
     def test_int_range_rejects_fractions(self):
         with pytest.raises(argparse.ArgumentTypeError):
-            _int_range_arg("0:5:0.5")
-        assert _int_range_arg("0:4:2").value == [0, 2, 4]
+            _qp_range_arg("0:5:0.5")
+        assert _qp_range_arg("0:4:2").value == [0, 2, 4]
 
     def test_domain_arg(self):
         domain = _domain_arg("-2048:2047").value
@@ -152,6 +152,23 @@ class TestInputBounds:
                      f"--bin-width={value}", "--out-prefix", str(prefix)])
         assert code == 1
         assert "argument --bin-width" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, out_flag, flag",
+        [
+            ("rd-curve", "--out", "--qp=52"),
+            ("rd-curve", "--out", "--qp=-1"),
+            ("cpdt-sweep", "--out-prefix", "--qp-s=60"),
+            ("cpdt-sweep", "--out-prefix", "--qp-t=0:52:1"),
+        ],
+    )
+    def test_bad_qp_is_usage_error(self, command, out_flag, flag, tmp_path, capsys):
+        # Refused while parsing: the input file does not even exist.
+        code = main([command, "--input", str(tmp_path / "absent.pgm"), flag,
+                     out_flag, str(tmp_path / "out")])
+        assert code == 1
+        assert f"argument {flag.split('=')[0]}: qp must lie in 0..51" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_bin_count_cap_is_runtime_error(self, tmp_path, capsys):

@@ -7,7 +7,6 @@ from cpdtlab.codec import (
     DEFAULT_BLOCK_SIZE,
     MAX_PIXELS,
     PSNR_CAP,
-    QP_RANGE,
     ContentSpec,
     EncodedPlane,
     coeff_qstep,
@@ -17,7 +16,7 @@ from cpdtlab.codec import (
     psnr,
     synth_content,
 )
-from cpdtlab.quantizer import qp_to_qstep
+from cpdtlab.quantizer import QP_RANGE, qp_to_qstep
 from cpdtlab.transform import orthonormal_gain
 
 

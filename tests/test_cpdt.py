@@ -28,7 +28,6 @@ from cpdtlab.cpdt import (
     full_sweep,
     interp_psnr_at_rate,
     local_minimum_report,
-    transcode,
 )
 
 
@@ -112,8 +111,6 @@ class TestSweepMatchesPlainChain:
     def test_invalid_qp_or_block_size_rejected(self, plane64, curve64, qp_s, qp_t, block_size):
         with pytest.raises(ValueError):
             full_sweep(plane64, qp_s, qp_t, curve64, block_size)
-        with pytest.raises(ValueError):
-            full_sweep(plane64, qp_s, qp_t, block_size=block_size)
 
 
 class TestInterp:
@@ -162,7 +159,7 @@ class TestTranscodeRecords:
     def test_constant_plane_flags_undefined_ratio(self):
         plane = np.full((32, 32), 128, dtype=np.uint8)
         curve = build_rd_curve(plane, qps=[20, 30])
-        rec = transcode(plane, 30, 30, direct_curve=curve)
+        [rec] = full_sweep(plane, [30], [30], curve)
         assert rec.flag == UNDEFINED_RATIO
         assert rec.source_rate == 0.0
         assert rec.ratio is None
@@ -170,7 +167,7 @@ class TestTranscodeRecords:
 
     def test_smooth_content_survives_repeated_qp0(self):
         plane = synth_content(ContentSpec(seed=5, complexity=0.0, width=128, height=128))
-        rec = transcode(plane, 0, 0)
+        [rec] = full_sweep(plane, [0], [0], build_rd_curve(plane))
         assert rec.flag is None
         assert rec.delta_psnr < 0.0
         assert abs(rec.delta_psnr) < 2.0
@@ -273,7 +270,7 @@ class TestAggregate:
     def test_flagged_records_are_excluded(self, sweep64):
         plane = np.full((32, 32), 128, dtype=np.uint8)
         curve = build_rd_curve(plane, qps=[20, 30])
-        flagged = transcode(plane, 30, 30, direct_curve=curve)
+        [flagged] = full_sweep(plane, [30], [30], curve)
         base = aggregate_by_ratio(sweep64)
         withf = aggregate_by_ratio(list(sweep64) + [flagged])
         assert sum(b.count for b in base.bins) == sum(b.count for b in withf.bins)
@@ -295,14 +292,3 @@ class TestLocalMinimum:
         records = full_sweep(plane, [28], range(26, 31), curve)
         assert all(r.flag == UNDEFINED_RATIO for r in records)
         assert local_minimum_report(records) == []
-
-    def test_missing_neighborhood_raises(self, sweep64):
-        with pytest.raises(ValueError, match="missing"):
-            local_minimum_report(sweep64, qp_s_values=[22])
-
-    def test_flagged_center_raises(self):
-        plane = np.full((32, 32), 128, dtype=np.uint8)
-        curve = build_rd_curve(plane, qps=[20, 30])
-        records = [transcode(plane, 30, qp_t, direct_curve=curve) for qp_t in (28, 29, 30, 31, 32)]
-        with pytest.raises(ValueError, match="flagged"):
-            local_minimum_report(records, qp_s_values=[30])

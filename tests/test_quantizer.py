@@ -29,6 +29,11 @@ _offsets = st.one_of(
 _values = st.integers(min_value=-5000, max_value=5000)
 
 
+def _error(q, x):
+    """|x - dequantize(quantize(x))|, the exact pointwise error."""
+    return abs(x - q.dequantize(q.quantize(x)))
+
+
 class TestQuantizeContract:
     def test_basic_levels(self):
         assert Quantizer(20).quantize(37) == 1
@@ -41,14 +46,14 @@ class TestQuantizeContract:
         assert Quantizer(12).dequantize(0) == 0
 
     def test_pointwise_error(self):
-        assert Quantizer(20).pointwise_error(37) == 17
-        assert Quantizer(20).pointwise_error(40) == 0
-        assert Quantizer(10, Fraction(1, 2)).pointwise_error(14) == 4
+        assert _error(Quantizer(20), 37) == 17
+        assert _error(Quantizer(20), 40) == 0
+        assert _error(Quantizer(10, Fraction(1, 2)), 14) == 4
 
     def test_exact_multiples_are_lossless_at_offset_zero(self):
         q = Quantizer(20)
         for k in range(-5, 6):
-            assert q.pointwise_error(20 * k) == 0
+            assert _error(q, 20 * k) == 0
 
     def test_tie_break_modes(self):
         # |x|/step + offset = 45/10 + 1/2 = 5 exactly: the two modes differ.
@@ -97,6 +102,28 @@ class TestDecisionBoundaries:
         for b in q.decision_boundaries(1, 100):
             assert q.quantize(b + eps) != q.quantize(b - eps)
 
+    @given(
+        step=_steps,
+        offset=_offsets,
+        tie_break=st.sampled_from([TOWARD_ZERO, AWAY_FROM_ZERO]),
+        lo=st.fractions(min_value=-300, max_value=Fraction(-1, 6), max_denominator=6),
+        hi=st.fractions(min_value=Fraction(1, 6), max_value=300, max_denominator=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_boundaries_across_zero(self, step, offset, tie_break, lo, hi):
+        # Ends, steps and offsets have denominators <= 6, 8 and 6, so every
+        # boundary and end is a multiple of 1/288 and eps is below each gap.
+        q = Quantizer(step, offset, tie_break)
+        eps = Fraction(1, 1000)
+        bounds = q.decision_boundaries(lo, hi)
+        assert bounds == sorted(set(bounds))
+        assert all(lo <= b <= hi for b in bounds)
+        for b in bounds:
+            assert q.quantize(b + eps) != q.quantize(b - eps)
+        # Each side has as many boundaries as |level| changes from 0 to its end.
+        assert sum(b > 0 for b in bounds) == abs(q.quantize(hi + eps))
+        assert sum(b < 0 for b in bounds) == abs(q.quantize(lo - eps))
+
 
 class TestVectorizedAgainstScalar:
     @given(step=_steps, offset=_offsets, values=st.lists(_values, min_size=1, max_size=40))
@@ -105,14 +132,14 @@ class TestVectorizedAgainstScalar:
         q = Quantizer(step, offset)
         arr = np.array(values, dtype=np.int64)
         expected = [q.quantize(v) for v in values]
-        assert q.quantize_array(arr).tolist() == expected
+        assert q.quantize_scaled(arr, 1).tolist() == expected
 
     @given(step=_steps, offset=_offsets, values=st.lists(_values, min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_away_mode_matches_scalar(self, step, offset, values):
         q = Quantizer(step, offset, AWAY_FROM_ZERO)
         arr = np.array(values, dtype=np.int64)
-        assert q.quantize_array(arr).tolist() == [q.quantize(v) for v in values]
+        assert q.quantize_scaled(arr, 1).tolist() == [q.quantize(v) for v in values]
 
 
 class TestProperties:
@@ -121,7 +148,7 @@ class TestProperties:
     def test_odd_symmetry(self, step, offset, x):
         q = Quantizer(step, offset)
         assert q.quantize(-x) == -q.quantize(x)
-        assert q.pointwise_error(-x) == q.pointwise_error(x)
+        assert _error(q, -x) == _error(q, x)
 
     @given(step=_steps, offset=_offsets, x=_values)
     @settings(max_examples=200, deadline=None)
@@ -143,7 +170,7 @@ class TestProperties:
         q = Quantizer(step, offset)
         step_f, offset_f = as_fraction(step), as_fraction(offset)
         bound = step_f * max(offset_f, 1 - offset_f)
-        assert q.pointwise_error(x) <= bound
+        assert _error(q, x) <= bound
 
 
 class TestQpToQstep:
