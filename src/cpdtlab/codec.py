@@ -16,6 +16,7 @@ rate-distortion curves.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .transform import (
     COEFF_MAX,
     COEFF_MIN,
     TRANSFORM_SIZES,
+    _inverse_rows,
+    _rows,
     forward_transform,
     inverse_transform,
     orthonormal_gain,
@@ -136,8 +139,8 @@ def _untile(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
 def _transform_plane(plane: np.ndarray, block_size: int) -> np.ndarray:
     """Tile a uint8 plane, center it by 128 and forward-transform every block.
 
-    The coefficients do not depend on qp, so a caller quantizing one plane at
-    many qps transforms it once and calls _quantize_plane per qp.
+    The coefficients do not depend on qp, so a caller scoring one plane at
+    many qps transforms it once.
     """
     plane = _check_plane(plane)
     if block_size not in TRANSFORM_SIZES:
@@ -145,17 +148,30 @@ def _transform_plane(plane: np.ndarray, block_size: int) -> np.ndarray:
     return forward_transform(_tile(plane, block_size).astype(np.int16) - 128)
 
 
-def _quantize_plane(coeff: np.ndarray, qp: int, shape: tuple[int, int]) -> EncodedPlane:
-    """Dead-zone quantize _transform_plane coefficients of a plane of `shape` at qp."""
-    block_size = coeff.shape[-1]
-    # sign(c) * floor(|c| / step + offset), in place on one float array.
+def _quantize(coeff: np.ndarray, qp: int, block_size: int) -> np.ndarray:
+    """The dead-zone law sign(c) * floor(|c| / step + offset), as int32 levels."""
+    # In place on one float array.
     scaled = np.abs(coeff) / coeff_qstep(qp, block_size)
     scaled += CODEC_DEADZONE_OFFSET
     np.floor(scaled, out=scaled)
     scaled *= np.sign(coeff)
-    levels = scaled.astype(np.int32)
+    return scaled.astype(np.int32)
+
+
+def _dequantize(levels: np.ndarray, qp: int, block_size: int) -> np.ndarray:
+    """Reconstructed coefficients rint(level * step), clipped to 16 bits, as float64."""
+    coeff = levels * coeff_qstep(qp, block_size)
+    np.rint(coeff, out=coeff)
+    return np.clip(coeff, COEFF_MIN, COEFF_MAX, out=coeff)
+
+
+def _quantize_plane(coeff: np.ndarray, qp: int, shape: tuple[int, int]) -> EncodedPlane:
+    """Dead-zone quantize _transform_plane coefficients of a plane of `shape` at qp."""
+    block_size = coeff.shape[-1]
     h, w = shape
-    return EncodedPlane(qp=qp, block_size=block_size, width=w, height=h, levels=levels)
+    return EncodedPlane(
+        qp=qp, block_size=block_size, width=w, height=h, levels=_quantize(coeff, qp, block_size)
+    )
 
 
 def encode_plane(
@@ -172,15 +188,19 @@ def encode_plane(
 
 def decode_plane(enc: EncodedPlane) -> np.ndarray:
     """Reconstruct a uint8 plane from quantized levels."""
-    # In place where possible: fresh plane-sized temporaries cost more than
-    # the arithmetic on them.
-    coeff = enc.levels * coeff_qstep(enc.qp, enc.block_size)
-    np.rint(coeff, out=coeff)
-    coeff = np.clip(coeff, COEFF_MIN, COEFF_MAX, out=coeff).astype(np.int16)
+    coeff = _dequantize(enc.levels, enc.qp, enc.block_size).astype(np.int16)
     residual = inverse_transform(coeff)
+    # In place: fresh plane-sized temporaries cost more than the arithmetic on them.
     residual += 128
     pixels = np.clip(residual, 0, PIXEL_MAX, out=residual).astype(np.uint8)
     return _untile(pixels, enc.height, enc.width)
+
+
+def _rate_from_counts(counts: np.ndarray, symbols: int, samples: int) -> float:
+    """Entropy rate in bits per sample from a level histogram in ascending level order."""
+    probs = counts / symbols
+    entropy = float(-(probs * np.log2(probs)).sum()) + 0.0  # -0.0 -> 0.0
+    return entropy * symbols / samples
 
 
 def estimate_rate(enc: EncodedPlane) -> float:
@@ -192,9 +212,15 @@ def estimate_rate(enc: EncodedPlane) -> float:
     """
     levels = enc.levels.ravel()
     _, counts = np.unique(levels, return_counts=True)
-    probs = counts / levels.size
-    entropy = float(-(probs * np.log2(probs)).sum()) + 0.0  # -0.0 -> 0.0
-    return entropy * levels.size / (enc.width * enc.height)
+    return _rate_from_counts(counts, levels.size, enc.width * enc.height)
+
+
+def _psnr_from_sse(sse: int, samples: int) -> float:
+    """PSNR in dB from an exact sum of squared 8-bit errors over `samples` samples."""
+    mse = sse / samples
+    if mse == 0.0:
+        return PSNR_CAP
+    return min(10.0 * np.log10(PIXEL_MAX * PIXEL_MAX / mse), PSNR_CAP)
 
 
 def psnr(reference: np.ndarray, test: np.ndarray) -> float:
@@ -207,13 +233,87 @@ def psnr(reference: np.ndarray, test: np.ndarray) -> float:
     b = _check_plane(test, "test")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a.astype(np.float64)
-    diff -= b
-    diff *= diff
-    mse = float(np.mean(diff))
-    if mse == 0.0:
-        return PSNR_CAP
-    return min(10.0 * np.log10(PIXEL_MAX * PIXEL_MAX / mse), PSNR_CAP)
+    # Squares of 8-bit differences summed in float64: exact below 2^53, that
+    # is for any plane under 2^37 samples, whatever order BLAS sums in.
+    diff = np.subtract(a, b, dtype=np.float64).ravel()
+    return _psnr_from_sse(int(diff @ diff), diff.size)
+
+
+def _distinct_values(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of an integer block array in ascending order, their
+    counts, and each value's index among them in the (row, block, col) layout.
+
+    One sort finds the values.  The indices come through a table over the
+    value span that is written only at the distinct values, so no step costs
+    O(span) however few samples the plane has.
+    """
+    ordered = np.sort(coeff, axis=None).astype(np.intp, copy=False)
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    values, counts = ordered[starts], np.diff(starts, append=ordered.size)
+    lowest = values[0]
+    table = np.empty(values[-1] - lowest + 1, dtype=np.intp)
+    table[values - lowest] = np.arange(values.size)
+    offsets = _rows(coeff, np.intp)
+    offsets -= lowest
+    return values, counts, np.take(table, offsets)
+
+
+class _Scorer:
+    """Rate and PSNR of coefficient planes against one reference plane.
+
+    score(coeff, qps) gives, for each qp, exactly the pair
+    (estimate_rate(enc), psnr(reference, decode_plane(enc))) with
+    enc = _quantize_plane(coeff, qp, reference.shape), but quantizes and
+    dequantizes only the distinct coefficient values.  The same float
+    formulas run on the same values, so:
+
+    - the dequantized values, gathered into the transform's (row, block, col)
+      layout, give decode_plane's pixels; +128 is folded into the last shift;
+    - the dead-zone law is monotone, so merging the counts of neighbouring
+      values with equal levels gives the level histogram in ascending level
+      order, the order estimate_rate sums it in;
+    - the squared error is an exact integer sum against the reference, tiled
+      once into the same layout with the padding samples zeroed.
+
+    The work buffers live for one score() call.
+    """
+
+    def __init__(self, reference: np.ndarray, block_size: int):
+        plane = _check_plane(reference, "reference")
+        h, w = plane.shape
+        blocks = _tile(plane, block_size)
+        by, bx = blocks.shape[:2]
+        outside = np.ones((by * block_size, bx * block_size), dtype=bool)
+        outside[:h, :w] = False
+        self.samples = h * w
+        self.rows = _rows(blocks, np.float64)
+        self.padding = np.flatnonzero(_rows(_tile(outside, block_size)))
+
+    def score(self, coeff: np.ndarray, qps: Iterable[int]) -> list[tuple[float, float]]:
+        """(rate, PSNR) of the coefficient plane at each qp, in order."""
+        block_size = coeff.shape[-1]
+        values, counts, gather = _distinct_values(coeff)
+        x = np.empty(gather.shape)
+        work = np.empty_like(x)
+        flat = x.reshape(-1)
+        new_level = np.empty(values.size, dtype=bool)
+        new_level[0] = True
+        scores = []
+        for qp in qps:
+            levels = _quantize(values, qp, block_size)
+            np.not_equal(levels[1:], levels[:-1], out=new_level[1:])
+            histogram = np.add.reduceat(counts, np.flatnonzero(new_level))
+            rate = _rate_from_counts(histogram, coeff.size, self.samples)
+            np.take(_dequantize(levels, qp, block_size), gather, out=x, mode="clip")
+            _inverse_rows(x, work, bias=128)
+            np.clip(x, 0, PIXEL_MAX, out=x)
+            x -= self.rows
+            flat[self.padding] = 0.0
+            scores.append((rate, _psnr_from_sse(int(flat @ flat), self.samples)))
+        return scores
 
 
 def synth_content(spec: ContentSpec) -> np.ndarray:

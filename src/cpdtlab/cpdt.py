@@ -27,8 +27,7 @@ import numpy as np
 
 from .codec import (
     DEFAULT_BLOCK_SIZE,
-    EncodedPlane,
-    _quantize_plane,
+    _Scorer,
     _transform_plane,
     decode_plane,
     encode_plane,
@@ -147,12 +146,6 @@ class LocalMinimumRow:
     delta_at_qp_s: float
 
 
-def _decode_score(plane: np.ndarray, enc: EncodedPlane) -> tuple[float, float, np.ndarray]:
-    """Decode an encoding: (rate, PSNR against `plane`, reconstruction)."""
-    recon = decode_plane(enc)
-    return estimate_rate(enc), psnr(plane, recon), recon
-
-
 def build_rd_curve(
     plane: np.ndarray,
     qps: Sequence[int] = QP_RANGE,
@@ -162,9 +155,10 @@ def build_rd_curve(
     qps = sorted(set(int(q) for q in qps))
     if not qps:
         raise ValueError("need at least one qp")
-    coeff, shape = _transform_plane(plane, block_size), np.shape(plane)
+    coeff = _transform_plane(plane, block_size)
     samples = [
-        RDPoint(qp, *_decode_score(plane, _quantize_plane(coeff, qp, shape))[:2]) for qp in qps
+        RDPoint(qp, rate, db)
+        for qp, (rate, db) in zip(qps, _Scorer(plane, block_size).score(coeff, qps))
     ]
     by_rate: dict[float, RDPoint] = {}
     for pt in samples:
@@ -212,15 +206,25 @@ def full_sweep(
 ) -> list[TranscodeRecord]:
     """Every (qp_s, qp_t) pair, scored against the plane's direct curve.
 
-    Each source reconstruction is transformed once and quantized at every qp_t.
+    Cost model.  Once per sweep the plane is tiled into the transform's
+    (row, block, col) layout as the PSNR reference.  Once per qp_s the source
+    is encoded, decoded through decode_plane (its pixels are the transcoder's
+    input), scored, and its reconstruction forward-transformed; the distinct
+    values of those coefficients, their counts and a gather index are then
+    found in O(plane size).  Once per (qp_s, qp_t) pair only the distinct
+    values are quantized and dequantized, the rate is read from their merged
+    counts, and one gather, one in-place inverse transform (two flat GEMMs)
+    and one exact squared-error sum give the PSNR (codec._Scorer).  The
+    pair's work buffers live for one qp_s, so no two sources hold them at once.
     """
+    scorer = _Scorer(plane, block_size)
     records = []
     for qp_s in qp_s_values:
-        source_rate, psnr_r, recon = _decode_score(plane, encode_plane(plane, qp_s, block_size))
-        recon_coeff = _transform_plane(recon, block_size)
-        for qp_t in qp_t_values:
-            enc = _quantize_plane(recon_coeff, qp_t, recon.shape)
-            target_rate, psnr_t = _decode_score(plane, enc)[:2]
+        source = encode_plane(plane, qp_s, block_size)
+        recon = decode_plane(source)
+        source_rate, psnr_r = estimate_rate(source), psnr(plane, recon)
+        targets = scorer.score(_transform_plane(recon, block_size), qp_t_values)
+        for qp_t, (target_rate, psnr_t) in zip(qp_t_values, targets):
             ratio = psnr_c = flag = None
             if source_rate == 0.0:
                 flag = UNDEFINED_RATIO

@@ -16,9 +16,21 @@ Because of the staged shifts the 8x8 chain is deliberately not lossless: a
 forward/inverse round trip may move a sample by one or two codes.  The 4x4
 chain is exact on 8-bit residuals.
 
-The matrix products run as float64 BLAS and the shifts and clips as int64,
-so every result is the exact integer of the reference definition.  Input
-values must lie in signed 32 bits for that to hold (see _stage).
+The work runs on a (row, block, col) layout: blocks of shape (..., N, N)
+become one contiguous float64 array of shape (N, blocks * N), where column
+b * N + j of row i holds sample (i, j) of block b.  Each pass is then one
+flat 2-D GEMM: the first pass is M @ rows, which multiplies every block from
+the left at once, and the second is rows.reshape(-1, N) @ M', whose rows are
+the block rows.  Both run in place on buffers the caller owns.
+
+Every value stays an exact integer.  The inputs lie in signed 32 bits (both
+directions check this), so every product and partial sum is an integer below
+2^31 * 8 * 89 < 2^41, which float64 holds exactly whatever order BLAS sums in.
+The rounded right shift (x + 2^(s-1)) >> s then runs as
+floor((x + 2^(s-1)) * 2^-s): the addition is exact below 2^53, scaling by a
+power of two only moves the exponent, and floor of x / 2^s is the arithmetic
+shift.  The clips compare exact integers.  So every result is the integer of
+the int64 reference definition.
 """
 
 from __future__ import annotations
@@ -90,28 +102,48 @@ def orthonormal_gain(size: int) -> float:
     return 128.0 / size
 
 
-def _stage(a: np.ndarray, b: np.ndarray, shift: int) -> np.ndarray:
-    """One pass: the integer product a @ b with a rounded right shift, as int64.
+def _shift(x: np.ndarray, shift: int, bias: int = 0) -> np.ndarray:
+    """The rounded right shift (x + 2^(shift-1)) >> shift, plus bias, in place.
 
-    The product runs as float64 BLAS on integer-valued operands and is exact:
-    one operand is a transform matrix (|entry| <= 89, N <= 8 terms per sum),
-    the other holds integers with |x| <= 2^31, so every product and partial
-    sum is an integer of magnitude at most 2^31 * 8 * 89 < 2^41 < 2^53, which
-    float64 holds exactly whatever order BLAS sums in.  The shift stays in
-    int64 and works in place: fresh large temporaries cost more here than the
-    arithmetic on them.
+    x holds integers below 2^41 in magnitude (see the module docstring); the
+    bias is folded into the addition as bias * 2^shift.
     """
-    x = np.matmul(a, b).astype(np.int64)
-    x += 1 << (shift - 1)
-    x >>= shift
-    return x
+    x += (1 << (shift - 1)) + (bias << shift)
+    x *= 2.0**-shift
+    return np.floor(x, out=x)
 
 
 def _clip16(x: np.ndarray) -> np.ndarray:
     return np.clip(x, COEFF_MIN, COEFF_MAX, out=x)
 
 
-def _check_block(block: np.ndarray, name: str) -> tuple[np.ndarray, int]:
+def _rows(blocks: np.ndarray, dtype=None) -> np.ndarray:
+    """Blocks (..., N, N) as a new contiguous (N, blocks * N) array in the
+    (row, block, col) layout."""
+    lead = blocks.ndim - 2
+    rows = blocks.transpose(lead, *range(lead), lead + 1)
+    return np.array(rows, dtype=dtype, order="C").reshape(blocks.shape[-1], -1)
+
+
+def _blocks(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The (..., N, N) view of `shape` onto (row, block, col) rows; undoes _rows."""
+    lead = len(shape) - 2
+    rows = rows.reshape(shape[-2], *shape[:-2], shape[-1])
+    return rows.transpose(*range(1, lead + 1), 0, lead + 1)
+
+
+def _inverse_rows(x: np.ndarray, work: np.ndarray, bias: int = 0) -> None:
+    """Inverse transform of float64 (row, block, col) rows in place, without
+    the output clip; the last shift adds `bias`.  work is scratch of x's shape."""
+    n = x.shape[0]
+    t, t_transposed = _FLOAT_MATRICES[n]
+    np.matmul(t_transposed, x, out=work)
+    _clip16(_shift(work, 7))
+    np.matmul(work.reshape(-1, n), t, out=x.reshape(-1, n))
+    _shift(x, 12, bias)
+
+
+def _check_block(block: np.ndarray, name: str) -> np.ndarray:
     block = np.asarray(block)
     if block.ndim < 2 or block.shape[-1] != block.shape[-2]:
         raise ValueError(f"{name} must be (..., N, N), got shape {block.shape}")
@@ -125,7 +157,7 @@ def _check_block(block: np.ndarray, name: str) -> tuple[np.ndarray, int]:
         block.min() < _INPUT_MIN or block.max() > _INPUT_MAX
     ):
         raise ValueError(f"{name} values must lie in signed 32 bits [{_INPUT_MIN}, {_INPUT_MAX}]")
-    return block.astype(np.float64), size
+    return block
 
 
 def forward_transform(block: np.ndarray) -> np.ndarray:
@@ -142,11 +174,17 @@ def forward_transform(block: np.ndarray) -> np.ndarray:
         ValueError: a value lies outside signed 32 bits, or the block shape
             is out of range.
     """
-    x, size = _check_block(block, "block")
+    block = _check_block(block, "block")
+    size = block.shape[-1]
     t, t_transposed = _FLOAT_MATRICES[size]
     log2n = size.bit_length() - 1
-    x = _clip16(_stage(t, x, log2n - 1)).astype(np.float64)
-    return _clip16(_stage(x, t_transposed, log2n + 6))
+    x = _rows(block, np.float64)
+    work = np.empty_like(x)
+    np.matmul(t, x, out=work)
+    _clip16(_shift(work, log2n - 1))
+    np.matmul(work.reshape(-1, size), t_transposed, out=x.reshape(-1, size))
+    _clip16(_shift(x, log2n + 6))
+    return _blocks(x, block.shape).astype(np.int64, order="C")
 
 
 def inverse_transform(coeff: np.ndarray) -> np.ndarray:
@@ -155,8 +193,8 @@ def inverse_transform(coeff: np.ndarray) -> np.ndarray:
     Output is clipped to the residual range [-256, 255]; the input values
     are bounded as in forward_transform.
     """
-    c, size = _check_block(coeff, "coeff")
-    t, t_transposed = _FLOAT_MATRICES[size]
-    c = _clip16(_stage(t_transposed, c, 7)).astype(np.float64)
-    residual = _stage(c, t, 12)
-    return np.clip(residual, _RESIDUAL_MIN, _RESIDUAL_MAX, out=residual)
+    coeff = _check_block(coeff, "coeff")
+    x = _rows(coeff, np.float64)
+    _inverse_rows(x, np.empty_like(x))
+    np.clip(x, _RESIDUAL_MIN, _RESIDUAL_MAX, out=x)
+    return _blocks(x, coeff.shape).astype(np.int64, order="C")

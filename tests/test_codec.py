@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpdtlab.codec import (
     DEFAULT_BLOCK_SIZE,
@@ -9,6 +11,9 @@ from cpdtlab.codec import (
     PSNR_CAP,
     ContentSpec,
     EncodedPlane,
+    _quantize_plane,
+    _Scorer,
+    _transform_plane,
     coeff_qstep,
     decode_plane,
     encode_plane,
@@ -176,3 +181,62 @@ class TestRdMonotonicity:
             assert lo < hi - 1e-9
         for hi, lo in zip(psnrs, psnrs[1:]):
             assert lo < hi - 1e-9
+
+
+def _plain_chain(plane, coeff, qp):
+    enc = _quantize_plane(coeff, qp, plane.shape)
+    return estimate_rate(enc), psnr(plane, decode_plane(enc))
+
+
+# Coefficient magnitudes: all-zero levels at every qp (|c| < 2/3 of the
+# smallest step), a moderate spread, and the 16-bit range with its +-32768
+# extremes, which overflow the inverse transform's first stage.
+_COEFF_SPANS = {"zero-levels": 6, "moderate": 3000, "full": 32768}
+
+
+class TestScorerMatchesPlainChain:
+    """_Scorer gives the plain quantize/decode/rate/PSNR chain's numbers, bit for bit."""
+
+    @given(
+        block_size=st.sampled_from([4, 8]),
+        height=st.integers(1, 21),
+        width=st.integers(1, 21),
+        span=st.sampled_from(sorted(_COEFF_SPANS)),
+        extremes=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        qps=st.lists(st.sampled_from(QP_RANGE), min_size=1, max_size=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_coefficient_fields(self, block_size, height, width, span, extremes, seed, qps):
+        rng = np.random.default_rng(seed)
+        plane = rng.integers(0, 255, size=(height, width), endpoint=True).astype(np.uint8)
+        by, bx = -(-height // block_size), -(-width // block_size)
+        limit = _COEFF_SPANS[span]
+        coeff = rng.integers(-limit, limit, size=(by, bx, block_size, block_size), endpoint=True)
+        if extremes:
+            coeff.flat[rng.integers(0, coeff.size, coeff.size // 2 + 1)] = rng.choice(
+                [-32768, 32768], coeff.size // 2 + 1
+            )
+        got = _Scorer(plane, block_size).score(coeff, qps)
+        assert got == [_plain_chain(plane, coeff, qp) for qp in qps]
+
+    @pytest.mark.parametrize("block_size", [4, 8])
+    def test_stage_one_clip(self, block_size):
+        # Every coefficient at +32768: the first inverse stage overflows 16 bits.
+        coeff = np.full((2, 3, block_size, block_size), 32768)
+        plane = np.zeros((2 * block_size - 1, 3 * block_size - 1), dtype=np.uint8)
+        qps = [0, 51]
+        assert _Scorer(plane, block_size).score(coeff, qps) == [
+            _plain_chain(plane, coeff, qp) for qp in qps
+        ]
+
+    @pytest.mark.parametrize("block_size", [4, 8])
+    def test_constant_plane(self, block_size):
+        # Mid-grey transforms to all-zero coefficients: one distinct value,
+        # zero rate, and a lossless decode.
+        plane = np.full((13, 11), 128, dtype=np.uint8)
+        coeff = _transform_plane(plane, block_size)
+        assert np.unique(coeff).tolist() == [0]
+        scores = _Scorer(plane, block_size).score(coeff, QP_RANGE)
+        assert scores == [(0.0, PSNR_CAP)] * len(QP_RANGE)
+        assert scores == [_plain_chain(plane, coeff, qp) for qp in QP_RANGE]
