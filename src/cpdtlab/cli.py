@@ -23,8 +23,14 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .codec import DEFAULT_BLOCK_SIZE, MAX_PIXELS, ContentSpec, synth_content
-from .cpdt import aggregate_by_ratio, build_rd_curve, full_sweep, local_minimum_report
+from .codec import DEFAULT_BLOCK_SIZE, DEFAULT_PLANE_SIZE, MAX_PIXELS, ContentSpec, synth_content
+from .cpdt import (
+    DEFAULT_BIN_WIDTH,
+    aggregate_by_ratio,
+    build_rd_curve,
+    full_sweep,
+    local_minimum_report,
+)
 from .pgm import encode_pgm, read_pgm
 from .quantizer import AWAY_FROM_ZERO, QP_RANGE, TOWARD_ZERO, Quantizer, as_fraction
 from .requant import (
@@ -81,7 +87,11 @@ def _fraction_from_text(text: str) -> Fraction:
 
 
 def _rational_arg(text: str) -> _Arg:
-    return _Arg(text, _fraction_from_text(text))
+    """A quantizer step: a positive rational."""
+    value = _fraction_from_text(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"step must be positive, got {text}")
+    return _Arg(text, value)
 
 
 def _offset_arg(text: str) -> _Arg:
@@ -126,7 +136,11 @@ def _parse_range(text: str) -> list[Fraction]:
 
 
 def _range_arg(text: str) -> _Arg:
-    return _Arg(text, _parse_range(text))
+    """A quantizer step or lo:hi:step range of them, each positive."""
+    values = _parse_range(text)
+    if values[0] <= 0:
+        raise argparse.ArgumentTypeError(f"steps must be positive, got {text!r}")
+    return _Arg(text, values)
 
 
 def _qp_range_arg(text: str) -> _Arg:
@@ -143,13 +157,14 @@ def _qp_range_arg(text: str) -> _Arg:
 
 
 _ALL_QPS = _Arg(f"{QP_RANGE.start}:{QP_RANGE.stop - 1}:1", list(QP_RANGE))
+_FULL_DOMAIN = _Arg(f"{DEFAULT_DOMAIN.lo}:{DEFAULT_DOMAIN.hi}", DEFAULT_DOMAIN)
 
 
 def _domain_arg(text: str) -> _Arg:
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(
-            f"domain must be lo:hi (use --domain=-32768:32767 for a negative lo), got {text!r}"
+            f"domain must be lo:hi (use --domain={_FULL_DOMAIN} for a negative lo), got {text!r}"
         )
     try:
         lo, hi = int(parts[0]), int(parts[1])
@@ -426,7 +441,7 @@ def _add_quant_flags(parser: argparse.ArgumentParser, include_metric: bool) -> N
     parser.add_argument(
         "--domain",
         type=_domain_arg,
-        default=_Arg("-32768:32767", DEFAULT_DOMAIN),
+        default=_FULL_DOMAIN,
         help="inclusive integer coefficient domain lo:hi "
         "(write --domain=-100:100 when lo is negative)",
     )
@@ -472,9 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, required=True, help="random seed")
     gen.add_argument("--complexity", type=float, required=True,
                      help="content complexity in [0, 1]")
-    gen.add_argument("--width", type=int, default=256, help="plane width (default 256)")
-    gen.add_argument("--height", type=int, default=256,
-                     help=f"plane height (default 256); width x height <= {MAX_PIXELS}")
+    gen.add_argument("--width", type=int, default=DEFAULT_PLANE_SIZE,
+                     help=f"plane width (default {DEFAULT_PLANE_SIZE})")
+    gen.add_argument("--height", type=int, default=DEFAULT_PLANE_SIZE,
+                     help=f"plane height (default {DEFAULT_PLANE_SIZE}); "
+                     f"width x height <= {MAX_PIXELS}")
     gen.add_argument("--out", required=True, help="output PGM path")
     gen.set_defaults(handler=_cmd_gen_content)
 
@@ -494,8 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"source qp value or range (default {_ALL_QPS})")
     cpdt.add_argument("--qp-t", type=_qp_range_arg, default=_ALL_QPS,
                       help=f"target qp value or range (default {_ALL_QPS})")
-    cpdt.add_argument("--bin-width", type=_bin_width_arg, default=0.05,
-                      help="transcoding-ratio bin width, positive and finite (default 0.05)")
+    cpdt.add_argument("--bin-width", type=_bin_width_arg, default=DEFAULT_BIN_WIDTH,
+                      help="transcoding-ratio bin width, positive and finite "
+                      f"(default {DEFAULT_BIN_WIDTH})")
     cpdt.add_argument("--block-size", type=int, choices=TRANSFORM_SIZES,
                       default=DEFAULT_BLOCK_SIZE, help="transform block size")
     cpdt.add_argument("--out-prefix", required=True,

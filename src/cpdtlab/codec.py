@@ -38,6 +38,7 @@ __all__ = [
     "PSNR_CAP",
     "CODEC_DEADZONE_OFFSET",
     "DEFAULT_BLOCK_SIZE",
+    "DEFAULT_PLANE_SIZE",
     "MAX_PIXELS",
     "EncodedPlane",
     "ContentSpec",
@@ -58,6 +59,9 @@ PSNR_CAP = 99.99
 CODEC_DEADZONE_OFFSET = 1.0 / 3.0
 
 DEFAULT_BLOCK_SIZE = 8
+
+# Width and height of a synthetic plane unless the caller picks others.
+DEFAULT_PLANE_SIZE = 256
 
 # Largest synthetic plane: 2048x2048, room for 1920x1080.  synth_content holds
 # several float64 arrays of this many values.
@@ -86,8 +90,8 @@ class ContentSpec:
 
     seed: int
     complexity: float
-    width: int = 256
-    height: int = 256
+    width: int = DEFAULT_PLANE_SIZE
+    height: int = DEFAULT_PLANE_SIZE
 
     def __post_init__(self):
         if not 0.0 <= self.complexity <= 1.0:

@@ -39,6 +39,7 @@ from .requant import UNDEFINED_RATIO
 
 __all__ = [
     "RATE_OUT_OF_SPAN",
+    "DEFAULT_BIN_WIDTH",
     "UNDEFINED_RATIO",
     "RDPoint",
     "RDCurve",
@@ -60,6 +61,9 @@ RATE_OUT_OF_SPAN = "rate_out_of_span"
 # half-width of the neighborhood searched around each.
 LOCAL_MIN_QPS = (22, 28, 32, 38)
 LOCAL_MIN_RADIUS = 2
+
+# Transcoding-ratio bin width of a profile unless the caller picks another.
+DEFAULT_BIN_WIDTH = 0.05
 
 # Most bins one ratio profile may hold; the count is checked before the bins
 # are built.  A 0.05-wide profile of ratios up to 500 fits.
@@ -179,8 +183,10 @@ def interp_psnr_at_rate(curve: RDCurve, rate: float) -> float:
     """PSNR of the curve at a rate, linear in log2(rate) between points.
 
     Exact point rates short-circuit to that point's PSNR.  Rates outside the
-    curve's span raise RateOutOfSpanError; no extrapolation.  At the log2
-    midpoint of two rates this returns the arithmetic mean of their PSNRs.
+    curve's span raise RateOutOfSpanError; no extrapolation.  So does a rate
+    between a zero-rate point and the next point, where log2 is undefined.  At
+    the log2 midpoint of two rates this returns the arithmetic mean of their
+    PSNRs.
     """
     rates = [p.rate for p in curve.points]
     i = bisect_left(rates, rate)
@@ -245,7 +251,7 @@ def full_sweep(
 
 
 def aggregate_by_ratio(
-    records: Sequence[TranscodeRecord], bin_width: float = 0.05
+    records: Sequence[TranscodeRecord], bin_width: float = DEFAULT_BIN_WIDTH
 ) -> RatioProfile:
     """Pool non-flagged records into contiguous ratio bins of equal width.
 

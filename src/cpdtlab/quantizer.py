@@ -47,9 +47,25 @@ RationalLike = Union[int, float, str, Fraction]
 # Valid quantization parameters, HEVC's 0..51.
 QP_RANGE = range(0, 52)
 
-# int64 products in the vectorized path must stay below this; larger setups
-# fall back to exact Python-int (object dtype) arithmetic.
+# Every exact integer formed in int64 stays below this in magnitude; larger
+# ones are formed from Python ints (object dtype) instead.
 _INT64_SAFE = 1 << 62
+
+
+def _exact_ints(arr: np.ndarray, scale: int, extra: int = 0, power: int = 1) -> np.ndarray:
+    """arr as int64 if the caller's exact arithmetic on it fits there, else as
+    Python ints (object dtype).
+
+    The caller promises that, with m = max|arr|, nothing it forms from arr,
+    Python-int operands included, exceeds (m + 1)**power * scale + extra in
+    magnitude; the +1 counts a multiplier even when arr is all zero.  Object
+    input is returned unscanned, and an int64 result is not copied.
+    """
+    if arr.dtype == object:
+        return arr
+    m = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+    fits = (m + 1) ** power * scale + extra < _INT64_SAFE
+    return arr.astype(np.int64 if fits else object, copy=False)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -148,24 +164,20 @@ class Quantizer:
     def quantize_scaled(self, num: np.ndarray, den: int) -> np.ndarray:
         """Exact vectorized quantize for the rational values num/den.
 
-        ``num`` is an integer array, ``den`` a positive integer shared
-        denominator.  This is what lets a second quantization stage consume the
-        exact rational reconstructions of a first stage.
+        ``num`` is an integer array (int64 or Python ints), ``den`` a positive
+        integer shared denominator.  This is what lets a second quantization
+        stage consume the exact rational reconstructions of a first stage.
+        Levels come back as int64 where _exact_ints allows, else as Python ints.
 
         t = (|num|/den) / (sp/sq) + op/oq
           = (|num|*sq*oq + op*sp*den) / (sp*oq*den)
         """
         sp, sq = self.step.numerator, self.step.denominator
         op, oq = self.offset.numerator, self.offset.denominator
-        absn = np.abs(num)
         num_mul = sq * oq
         num_add = op * sp * den
         full_den = sp * oq * den
-        hi = int(absn.max(initial=0)) if absn.size else 0
-        if hi * num_mul + num_add >= _INT64_SAFE or full_den >= _INT64_SAFE:
-            absn = absn.astype(object)
-        else:
-            absn = absn.astype(np.int64)
+        absn = _exact_ints(np.abs(num), num_mul, num_add + full_den)
         t_num = absn * num_mul + num_add
         levels = t_num // full_den
         if self.offset > 0 and self.tie_break == TOWARD_ZERO:

@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quantizer import _INT64_SAFE, TOWARD_ZERO, Quantizer, RationalLike
+from .quantizer import TOWARD_ZERO, Quantizer, RationalLike, _exact_ints
+from .transform import COEFF_MAX, COEFF_MIN
 
 __all__ = [
     "MEAN_ABS",
@@ -63,8 +64,8 @@ class CoefficientDomain:
     instead of allocating arrays without bound.
     """
 
-    lo: int = -32768
-    hi: int = 32767
+    lo: int
+    hi: int
 
     def __post_init__(self):
         if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
@@ -86,7 +87,7 @@ class CoefficientDomain:
 
 
 # Full 16-bit signed coefficient range, sign bit included.
-DEFAULT_DOMAIN = CoefficientDomain(-32768, 32767)
+DEFAULT_DOMAIN = CoefficientDomain(COEFF_MIN, COEFF_MAX)
 
 
 @dataclass(frozen=True)
@@ -146,19 +147,12 @@ def _require_metric(metric: str) -> None:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
-def _exact_sum(arr: np.ndarray, power: int) -> int:
-    """Exact sum of arr**power (power 1 or 2) over a non-negative integer array."""
-    if arr.dtype != object and int(arr.max(initial=0)) ** power * arr.size >= _INT64_SAFE:
-        arr = arr.astype(object)
-    return int((arr if power == 1 else arr * arr).sum())
-
-
 def _metric_fraction(err_num: np.ndarray, den: int, metric: str) -> Fraction:
     """Exact metric value; for rms this is the mean-square (pre-sqrt)."""
     n = err_num.size
-    if metric == MEAN_ABS:
-        return Fraction(_exact_sum(err_num, 1), n * den)
-    return Fraction(_exact_sum(err_num, 2), n * den * den)
+    power = 1 if metric == MEAN_ABS else 2
+    err = _exact_ints(err_num, n, power=power)
+    return Fraction(int((err if power == 1 else err * err).sum()), n * den**power)
 
 
 def _metric_float(frac: Fraction, metric: str) -> float:
@@ -172,17 +166,19 @@ def _error_numerators(
     """Exact |x - levels*step| for integer x, as (numerators, shared_den).
 
     With step = p/q the error is |x*q - levels*p| / q; integer numerators keep
-    downstream sums exact.  Object-dtype levels keep the products in Python ints.
+    downstream sums exact.  _exact_ints keeps each int64 product below 2^62,
+    so the difference of two of them fits in int64 too.
     """
     p, q = step.numerator, step.denominator
-    return np.abs(x.astype(levels.dtype) * q - levels * p), q
+    return np.abs(_exact_ints(x, q) * q - _exact_ints(levels, p) * p), q
 
 
 def _chain_levels(q_s: Quantizer, q_t: Quantizer, x: np.ndarray) -> np.ndarray:
     """Target levels of the quantize-dequantize-requantize chain."""
-    lv1 = q_s.quantize_scaled(x, 1)
+    sp, sq = q_s.step.numerator, q_s.step.denominator
     # first-stage reconstruction lv1*sp/sq, fed exactly into the second stage
-    return q_t.quantize_scaled(lv1 * q_s.step.numerator, q_s.step.denominator)
+    lv1 = _exact_ints(q_s.quantize_scaled(x, 1), sp)
+    return q_t.quantize_scaled(lv1 * sp, sq)
 
 
 def pointwise_errors(

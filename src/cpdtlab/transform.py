@@ -80,7 +80,7 @@ _T8 = np.array(
 )
 
 _MATRICES = {4: _T4, 8: _T8}
-# Each matrix and its transpose as contiguous float64, the operands of _stage.
+# Each matrix and its transpose as contiguous float64, the GEMM operands.
 _FLOAT_MATRICES = {
     n: (t.astype(np.float64), t.T.astype(np.float64, order="C")) for n, t in _MATRICES.items()
 }
@@ -90,7 +90,7 @@ _RESIDUAL_MIN = -256
 _RESIDUAL_MAX = 255
 
 # Inputs must fit in signed 32 bits, far beyond any residual or 16-bit
-# coefficient; the bound keeps _stage exact.
+# coefficient; the bound keeps every GEMM exact (see the module docstring).
 _INPUT_MIN = -(1 << 31)
 _INPUT_MAX = (1 << 31) - 1
 

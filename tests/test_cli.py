@@ -171,6 +171,27 @@ class TestInputBounds:
         assert f"argument {flag.split('=')[0]}: qp must lie in 0..51" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "subcommand, qstep_s, qstep_t",
+        [
+            ("sweep", "0", "24"),
+            ("sweep", "-3", "24"),
+            ("sweep", "12", "0:10:5"),
+            ("surface", "-1:1:1", "24"),
+            ("surface", "12", "0"),
+            ("overlap", "12", "-3"),
+        ],
+    )
+    def test_non_positive_step_is_usage_error(self, subcommand, qstep_s, qstep_t, tmp_path,
+                                              capsys):
+        # Refused while parsing, before any quantizer is built.
+        code = main(["requant", subcommand, f"--qstep-s={qstep_s}", f"--qstep-t={qstep_t}",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "argument --qstep-" in err and "must be positive" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bin_count_cap_is_runtime_error(self, tmp_path, capsys):
         pgm = tmp_path / "p.pgm"
         main(["gen-content", "--seed", "5", "--complexity", "0.6",
@@ -287,6 +308,16 @@ class TestRequantCommands:
         same = by_target["3"]
         assert same[4] == "1"
         assert same[7] == ""
+
+    def test_all_zero_first_stage_with_large_denominator_target(self, tmp_path):
+        # Step 40000 sends every 16-bit value to level 0, so the two-stage
+        # error is |x|, mean 16384; the target's 10^17 denominator must not
+        # wrap x*q in int64.
+        out = tmp_path / "sweep.csv"
+        code = main(["requant", "sweep", "--qstep-s", "40000",
+                     "--qstep-t", "12.34567890123456789", "--out", str(out)])
+        assert code == 0
+        assert _rows(out)[1].split(",")[3] == "16384"
 
     def test_overlap_single_row(self, tmp_path):
         out = tmp_path / "overlap.csv"

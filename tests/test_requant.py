@@ -27,23 +27,32 @@ from cpdtlab.requant import (
     pointwise_errors,
     sweep_qstep_t,
 )
+from exact_inputs import extreme_offsets, extreme_steps, tie_breaks
 
 
-def _oracle_chain_error(q_s: Quantizer, q_t: Quantizer, lo: int, hi: int) -> Fraction:
-    """Mean-abs two-stage error via the scalar Fraction path, one x at a time."""
-    total = Fraction(0)
+def _oracle_errors(q_s: Quantizer, q_t: Quantizer, lo: int, hi: int) -> list[tuple]:
+    """(direct, two-stage) |error| of each x in [lo, hi] via the scalar Fraction path."""
+    errors = []
     for x in range(lo, hi + 1):
         recon_s = q_s.dequantize(q_s.quantize(x))
-        recon_t = q_t.dequantize(q_t.quantize(recon_s))
-        total += abs(Fraction(x) - recon_t)
-    return total / (hi - lo + 1)
+        direct = abs(x - q_t.dequantize(q_t.quantize(x)))
+        errors.append((direct, abs(x - q_t.dequantize(q_t.quantize(recon_s)))))
+    return errors
 
 
-def _oracle_direct_error(q_t: Quantizer, lo: int, hi: int) -> Fraction:
-    total = Fraction(0)
-    for x in range(lo, hi + 1):
-        total += abs(x - q_t.dequantize(q_t.quantize(x)))
-    return total / (hi - lo + 1)
+def _oracle_metric(errors, metric: str) -> float:
+    """A metric over exact errors, reported as error_ratio reports it."""
+    power = 1 if metric == MEAN_ABS else 2
+    mean = sum(e**power for e in errors) / len(errors)
+    return math.sqrt(float(mean)) if metric == RMS else float(mean)
+
+
+# Windows of at most 600 values anywhere in +-2^19, the CoefficientDomain cap.
+_windows = st.builds(
+    lambda lo, size: CoefficientDomain(lo, min(lo + size - 1, (1 << 19) - 1)),
+    st.integers(min_value=-(1 << 19), max_value=(1 << 19) - 1),
+    st.integers(min_value=1, max_value=600),
+)
 
 
 class TestFrozenValues:
@@ -89,21 +98,32 @@ class TestAgainstScalarOracle:
         q_s = Quantizer(qstep_s, offset)
         q_t = Quantizer(qstep_t, offset)
         pt = error_ratio(q_s, q_t, domain)
-        oracle_a = _oracle_direct_error(q_t, domain.lo, domain.hi)
-        oracle_b = _oracle_chain_error(q_s, q_t, domain.lo, domain.hi)
-        assert pt.e_a == pytest.approx(float(oracle_a), abs=1e-12)
-        assert pt.e_b == pytest.approx(float(oracle_b), abs=1e-12)
+        direct, chain = zip(*_oracle_errors(q_s, q_t, domain.lo, domain.hi))
+        assert pt.e_a == pytest.approx(_oracle_metric(direct, MEAN_ABS), abs=1e-12)
+        assert pt.e_b == pytest.approx(_oracle_metric(chain, MEAN_ABS), abs=1e-12)
 
-    def test_pointwise_errors_are_exact_numerators(self):
-        domain = CoefficientDomain(-60, 59)
-        q_s = Quantizer(Fraction(7, 2), Fraction(1, 6))
-        q_t = Quantizer(9, Fraction(1, 6))
+    @given(
+        step_s=extreme_steps, step_t=extreme_steps,
+        offset_s=extreme_offsets, offset_t=extreme_offsets,
+        tie_s=tie_breaks, tie_t=tie_breaks, domain=_windows,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pointwise_errors_are_exact_numerators(
+        self, step_s, step_t, offset_s, offset_t, tie_s, tie_t, domain
+    ):
+        # Steps and offsets on both sides of int64: every numerator, and every
+        # metric built from them, must equal the scalar Fraction oracle's.
+        q_s = Quantizer(step_s, offset_s, tie_s)
+        q_t = Quantizer(step_t, offset_t, tie_t)
         e_a, e_b, den = pointwise_errors(q_s, q_t, domain)
-        for x, a, b in zip(range(-60, 60), e_a.tolist(), e_b.tolist()):
-            assert Fraction(int(a), den) == abs(x - q_t.dequantize(q_t.quantize(x)))
-            recon_s = q_s.dequantize(q_s.quantize(x))
-            recon_t = q_t.dequantize(q_t.quantize(recon_s))
-            assert Fraction(int(b), den) == abs(Fraction(x) - recon_t)
+        oracle = _oracle_errors(q_s, q_t, domain.lo, domain.hi)
+        assert [(Fraction(int(a), den), Fraction(int(b), den))
+                for a, b in zip(e_a.tolist(), e_b.tolist())] == oracle
+        direct, chain = zip(*oracle)
+        for metric in METRICS:
+            pt = error_ratio(q_s, q_t, domain, metric)
+            assert (pt.e_a, pt.e_b) == (_oracle_metric(direct, metric),
+                                        _oracle_metric(chain, metric))
 
 
 class TestDominanceAndTrend:
@@ -198,6 +218,16 @@ class TestBoundaryOverlap:
         report = boundary_overlap(Quantizer(12), Quantizer(30))
         assert report.aligned_fraction == 0.5
         assert report.max_extra_error == 6.0
+
+    def test_object_path_pair_matches_scalar(self):
+        # Denominators near 10^17 put every error in Python ints; the step
+        # ratio 3/2 keeps the split-bin period short.
+        domain = CoefficientDomain(-300, 299)
+        q_s, q_t = Quantizer("4.00000000000000004"), Quantizer("6.00000000000000006")
+        direct, chain = zip(*_oracle_errors(q_s, q_t, domain.lo, domain.hi))
+        assert all(e.dtype == object for e in pointwise_errors(q_s, q_t, domain)[:2])
+        report = boundary_overlap(q_s, q_t, domain)
+        assert report.max_extra_error == float(max(chain) - max(direct))
 
     def test_offset_mismatch_rejected(self):
         with pytest.raises(ValueError):
