@@ -211,9 +211,33 @@ def _create_staging(path: Path) -> tuple[int, Path]:
             pass
 
 
+def _set_aside(path: Path) -> Optional[Path]:
+    """Rename an existing `path` to a fresh staging name and return that name,
+    or None when nothing is at `path`."""
+    fd, old = _create_staging(path)
+    os.close(fd)
+    try:
+        os.replace(path, old)
+    except FileNotFoundError:
+        old.unlink()
+        return None
+    except BaseException:
+        old.unlink()
+        raise
+    return old
+
+
 def _write_outputs(outputs: dict[Path, bytes]) -> None:
-    """Write every payload to its own temp file, then rename all into place."""
+    """Write every payload to its own temp file, then rename all into place.
+
+    All or nothing, by renames alone: each existing destination is first
+    renamed aside; on failure the outputs already renamed in are removed and
+    the set-aside files renamed back, on success the set-aside files are
+    unlinked.  Old bytes are never read or copied.
+    """
     staged: list[tuple[Path, Path]] = []
+    aside: list[tuple[Path, Path]] = []
+    placed: list[Path] = []
     try:
         for path, data in outputs.items():
             fd, tmp = _create_staging(path)
@@ -221,11 +245,21 @@ def _write_outputs(outputs: dict[Path, bytes]) -> None:
             with os.fdopen(fd, "wb") as f:
                 f.write(data)
         for tmp, path in staged:
+            old = _set_aside(path)
+            if old is not None:
+                aside.append((old, path))
             os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
+        for path in placed:
+            path.unlink()
+        for old, path in aside:
+            os.replace(old, path)
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
+    for old, _ in aside:
+        old.unlink()
 
 
 def _quant_config(args: argparse.Namespace, include_metric: bool) -> dict[str, object]:

@@ -137,28 +137,6 @@ class Quantizer:
         """Reconstruction for a level: level * step."""
         return level * self.step
 
-    def decision_boundaries(self, lo: RationalLike, hi: RationalLike) -> list[Fraction]:
-        """All thresholds b in [lo, hi] where the level changes, ascending.
-
-        Boundaries sit at +-(k - offset) * step for k >= 1; for offset=0 and
-        x >= 0 these are the positive multiples of step.  Zero is never a
-        boundary (the dead zone surrounds it).
-        """
-        lof, hif = as_fraction(lo), as_fraction(hi)
-        if lof > hif:
-            raise ValueError(f"empty range: [{lof}, {hif}]")
-        negative = [-b for b in reversed(self._positive_boundaries(-hif, -lof))]
-        return negative + self._positive_boundaries(lof, hif)
-
-    def _positive_boundaries(self, lo: Fraction, hi: Fraction) -> list[Fraction]:
-        """The boundaries (k - offset) * step, k >= 1, that lie in [lo, hi], ascending."""
-        out = []
-        k = max(1, math.ceil(lo / self.step + self.offset))
-        while (b := (k - self.offset) * self.step) <= hi:
-            out.append(b)
-            k += 1
-        return out
-
     # -- vectorized exact path ----------------------------------------------
 
     def quantize_scaled(self, num: np.ndarray, den: int) -> np.ndarray:

@@ -260,44 +260,53 @@ def error_surface(
     ]
 
 
-def _aligned_fraction(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> Fraction:
-    """Fraction of q_t decision boundaries in the domain that are also q_s boundaries."""
-    boundaries = q_t.decision_boundaries(domain.lo, domain.hi)
-    if not boundaries:
-        raise ValueError("domain contains no target-step decision boundaries")
-    aligned = 0
-    f, s = q_s.offset, q_s.step
-    for b in boundaries:
-        # b is a q_s boundary iff b = +-(m - f) * s for an integer m >= 1
-        m = abs(b) / s + f
-        if m.denominator == 1 and m >= 1:
-            aligned += 1
-    return Fraction(aligned, len(boundaries))
+def _aligned_residue(ratio: Fraction, f: Fraction) -> Optional[int]:
+    """Residue k0 (mod q) of the target boundaries that are source boundaries, or None.
 
-
-def _split_bin_description(q_s: Quantizer, q_t: Quantizer) -> str:
-    """Describe which source bins are split, from the reduced step ratio."""
-    ratio = q_t.step / q_s.step
+    With ratio = target step / source step = p/q, target boundary k >= 1 lies
+    at (k - f)*p/q + f = (k*p - g)/q source steps, g = f*(p - q).  That is a
+    positive integer, so a source boundary, exactly when g is an integer and
+    k*p = g (mod q): one residue class per period of q target bins, or none.
+    """
     p, q = ratio.numerator, ratio.denominator
-    if q == 1 and q_s.offset == 0:
+    g = f * (p - q)
+    return int(g) * pow(p, -1, q) % q if g.denominator == 1 else None
+
+
+def _aligned_fraction(
+    q_t: Quantizer, q: int, k0: Optional[int], domain: CoefficientDomain
+) -> Fraction:
+    """Fraction of q_t decision boundaries in the domain that are also source
+    boundaries, where every q-th target boundary from k0 on is one."""
+    t, f = q_t.step, q_t.offset
+    total = aligned = 0
+    # Boundary k >= 1 lies at +-(k - f)*t; the negative side mirrors [-hi, -lo].
+    for lo, hi in ((domain.lo, domain.hi), (-domain.hi, -domain.lo)):
+        k_lo, k_hi = max(1, math.ceil(lo / t + f)), math.floor(hi / t + f)
+        if k_hi >= k_lo:
+            total += k_hi - k_lo + 1
+            if k0 is not None:
+                aligned += (k_hi - k0) // q - (k_lo - 1 - k0) // q
+    if not total:
+        raise ValueError("domain contains no target-step decision boundaries")
+    return Fraction(aligned, total)
+
+
+def _split_bin_description(ratio: Fraction, f: Fraction, k0: Optional[int]) -> str:
+    """Describe which source bins are split, from the reduced step ratio p/q."""
+    p, q = ratio.numerator, ratio.denominator
+    if q == 1 and f == 0:
         return f"none: target boundaries all align (target step = {p} x source step)"
-    # Walk one pattern period (q target bins spanning p source bins) and
-    # record which source bins contain an unaligned target boundary.
-    f = q_s.offset
-    split_bins = set()
-    aligned_any = False
-    for k in range(1, q + 1):
-        pos = (k - f) * ratio + f  # target boundary location in source-bin units
-        if pos.denominator == 1:
-            aligned_any = True
-        else:
-            split_bins.add(math.floor(pos) % p)
-    if not split_bins:
+    # One period holds q target bins over p source bins.  A finer target puts
+    # an unaligned boundary inside every source bin; a coarser one splits one
+    # source bin per unaligned boundary.
+    split = p if p < q else q - (k0 is not None)
+    if not split:
         return f"none: target boundaries all align (period {p} source bins = {q} target bins)"
-    prefix = "" if aligned_any else " (no boundary alignment)"
+    suffix = "" if k0 is not None else " (no boundary alignment)"
     return (
-        f"{len(split_bins)} of every {p} source bins split by unaligned target "
-        f"boundaries (period {p} source bins = {q} target bins){prefix}"
+        f"{split} of every {p} source bins split by unaligned target "
+        f"boundaries (period {p} source bins = {q} target bins){suffix}"
     )
 
 
@@ -315,7 +324,9 @@ def boundary_overlap(
         raise ValueError(
             f"offsets must match to compare boundary grids: {q_s.offset} != {q_t.offset}"
         )
-    frac_aligned = _aligned_fraction(q_s, q_t, domain)
+    ratio = q_t.step / q_s.step
+    k0 = _aligned_residue(ratio, q_s.offset)
+    frac_aligned = _aligned_fraction(q_t, ratio.denominator, k0, domain)
     e_a, e_b, den = pointwise_errors(q_s, q_t, domain)
     extra = Fraction(int(e_b.max()) - int(e_a.max()), den)
     return OverlapReport(
@@ -323,7 +334,7 @@ def boundary_overlap(
         qstep_t=float(q_t.step),
         offset=float(q_s.offset),
         aligned_fraction=float(frac_aligned),
-        split_bin_period=_split_bin_description(q_s, q_t),
+        split_bin_period=_split_bin_description(ratio, q_s.offset, k0),
         max_extra_error=float(extra),
     )
 

@@ -1,14 +1,35 @@
-"""Hypothesis strategies for the exact quantizer at its int64/object boundary.
+"""Shared inputs of the exact quantizer tests.
 
-Steps run from 1/2^80 to 10^25 and offsets carry denominators up to 10^20,
-so the products the exact path forms land on both sides of int64.
+The hypothesis strategies run steps from 1/2^80 to 10^25 and offsets with
+denominators up to 10^20, so the products the exact path forms land on both
+sides of int64.  decision_boundaries lists a quantizer's boundaries one by
+one, the reference the closed-form overlap report is checked against.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from cpdtlab.quantizer import AWAY_FROM_ZERO, TOWARD_ZERO
+from cpdtlab.quantizer import AWAY_FROM_ZERO, TOWARD_ZERO, Quantizer
+
+
+def decision_boundaries(q: Quantizer, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """All thresholds b in [lo, hi] where q's level changes, ascending.
+
+    Boundaries sit at +-(k - offset) * step for k >= 1; zero is never one
+    (the dead zone surrounds it).
+    """
+
+    def positive(lo: Fraction, hi: Fraction) -> list[Fraction]:
+        out = []
+        k = max(1, math.ceil(lo / q.step + q.offset))
+        while (b := (k - q.offset) * q.step) <= hi:
+            out.append(b)
+            k += 1
+        return out
+
+    return [-b for b in reversed(positive(-hi, -lo))] + positive(lo, hi)
 
 extreme_steps = st.one_of(
     st.integers(min_value=1, max_value=10**25),

@@ -274,6 +274,34 @@ class TestWriteOutputs:
         assert list(tmp_path.iterdir()) == []
         assert "disk full" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old_records", [None, b"old records"])
+    def test_failed_rename_rolls_back_the_set(self, tmp_path, old_records):
+        pgm = tmp_path / "p.pgm"
+        assert main(self.ARGS + ["--out", str(pgm)]) == 0
+        records = tmp_path / "run_records.csv"
+        if old_records is not None:
+            records.write_bytes(old_records)
+        # The second of cpdt-sweep's three outputs cannot be renamed into place.
+        profile = tmp_path / "run_profile.csv"
+        profile.mkdir()
+        argv = ["cpdt-sweep", "--input", str(pgm), "--qp-s", "28", "--qp-t", "28",
+                "--out-prefix", str(tmp_path / "run")]
+        assert main(argv) == 2
+        before = {"p.pgm", "run_profile.csv"}
+        if old_records is None:
+            assert not records.exists()
+        else:
+            assert records.read_bytes() == old_records
+            before.add("run_records.csv")
+        assert {p.name for p in tmp_path.iterdir()} == before
+        # Once the directory is gone the set is written, replacing the old file.
+        profile.rmdir()
+        assert main(argv) == 0
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "p.pgm", "run_records.csv", "run_profile.csv", "run_local_min.csv"
+        }
+        assert records.read_bytes() != old_records
+
 
 class TestRequantCommands:
     def test_sweep_layout_and_determinism(self, tmp_path):
@@ -334,6 +362,18 @@ class TestRequantCommands:
         assert len(cells) == 6  # the description must stay comma-free
         assert cells[:5] == ["10", "25", "0", "0.5", "5"]
         assert "1 of every 5" in cells[5]
+
+    @pytest.mark.parametrize(
+        "qstep_s, qstep_t", [("7", "12.34567890123456789"), ("10", "1/1000000")]
+    )
+    def test_overlap_any_step_pair_finishes(self, tmp_path, qstep_s, qstep_t):
+        # A step-ratio denominator of 7*10^17, and 6.6*10^10 target boundaries
+        # in the default domain: the report walks neither.
+        out = tmp_path / "overlap.csv"
+        code = main(["requant", "overlap", "--qstep-s", qstep_s, "--qstep-t", qstep_t,
+                     "--out", str(out)])
+        assert code == 0
+        assert len(_rows(out)) == 2
 
 
 class TestRdCurve:

@@ -43,6 +43,25 @@ REQUANT_CASES = {
         "requant", "overlap", "--qstep-s", "10", "--qstep-t", "25", DOMAIN,
         "--offset", "1/3",
     ],
+    "overlap-finer-target": [
+        "requant", "overlap", "--qstep-s", "10", "--qstep-t", "4", DOMAIN,
+    ],
+    "overlap-offset1_2-integer-ratio": [
+        "requant", "overlap", "--qstep-s", "10", "--qstep-t", "30", DOMAIN,
+        "--offset", "1/2",
+    ],
+    "overlap-offset1_3-integer-ratio": [
+        "requant", "overlap", "--qstep-s", "10", "--qstep-t", "20", DOMAIN,
+        "--offset", "1/3",
+    ],
+    "overlap-decimal-ratio": [
+        "requant", "overlap", "--qstep-s", "27.6", "--qstep-t", "41.4", DOMAIN,
+    ],
+    # Every target boundary in the domain is positive.
+    "overlap-one-sided-domain": [
+        "requant", "overlap", "--qstep-s", "10", "--qstep-t", "25", "--domain=5:2047",
+        "--offset", "1/6",
+    ],
 }
 
 EXPECTED = {
@@ -60,6 +79,16 @@ EXPECTED = {
         "441c09059fe05432d950e81da30dddd384a74000ce594b008085bbd59ca81371",
     "overlap-offset1_3":
         "47b292ee3eaef330f2007386e9a7e93856fc8118aee928dfd8647b87739a5330",
+    "overlap-finer-target":
+        "0bb9f74f35f5e77f11ae2019afe6363daff20ee60b4b4193ae559ba438f8a576",
+    "overlap-offset1_2-integer-ratio":
+        "b8041a571794cece8fcdb31cbe9ea90ce255e206f17b4d2f62a5f2635d958156",
+    "overlap-offset1_3-integer-ratio":
+        "87cec7293885dc8ffa874ac954987e4551d3d0d0f21e6a769c5a53ca004d56c0",
+    "overlap-decimal-ratio":
+        "9e3093efad3e9bd2c067131e448bdb9fd8fa06e97b8fb1d787c87495c547a95f",
+    "overlap-one-sided-domain":
+        "954aeb5db581f204d4859ceeed0f4720b84c698ee5daf6c16f51f79442a0010b",
     "plane.pgm":
         "d0fca468983354de97de8e26d6e01d5d4d4cb60ce01f176056f4b110fb29093e",
     "curve.csv":

@@ -15,7 +15,7 @@ from cpdtlab.quantizer import (
     as_fraction,
     qp_to_qstep,
 )
-from exact_inputs import extreme_offsets, extreme_steps
+from exact_inputs import decision_boundaries, extreme_offsets, extreme_steps
 
 # Hypothesis strategies kept small so the exact (Fraction) reference path
 # stays fast.
@@ -85,22 +85,25 @@ class TestQuantizeContract:
 
 
 class TestDecisionBoundaries:
+    """The quantizer's levels change exactly at the boundaries that the
+    test-local walk lists, the walk the overlap report is checked against."""
+
     def test_offset_zero_multiples(self):
-        assert Quantizer(2).decision_boundaries(0, 10) == [2, 4, 6, 8, 10]
-        assert Quantizer(5).decision_boundaries(0, 10) == [5, 10]
+        assert decision_boundaries(Quantizer(2), 0, 10) == [2, 4, 6, 8, 10]
+        assert decision_boundaries(Quantizer(5), 0, 10) == [5, 10]
 
     def test_offset_shifts_boundaries(self):
-        assert Quantizer(20, Fraction(1, 2)).decision_boundaries(0, 19) == [10]
+        assert decision_boundaries(Quantizer(20, Fraction(1, 2)), 0, 19) == [10]
 
     def test_symmetric_range(self):
-        bounds = Quantizer(10).decision_boundaries(-25, 25)
+        bounds = decision_boundaries(Quantizer(10), -25, 25)
         assert bounds == [-20, -10, 10, 20]
         assert 0 not in bounds  # zero is never a boundary
 
     def test_boundaries_flip_the_level(self):
         q = Quantizer(12, Fraction(1, 3))
         eps = Fraction(1, 1000)
-        for b in q.decision_boundaries(1, 100):
+        for b in decision_boundaries(q, 1, 100):
             assert q.quantize(b + eps) != q.quantize(b - eps)
 
     @given(
@@ -116,7 +119,7 @@ class TestDecisionBoundaries:
         # boundary and end is a multiple of 1/288 and eps is below each gap.
         q = Quantizer(step, offset, tie_break)
         eps = Fraction(1, 1000)
-        bounds = q.decision_boundaries(lo, hi)
+        bounds = decision_boundaries(q, lo, hi)
         assert bounds == sorted(set(bounds))
         assert all(lo <= b <= hi for b in bounds)
         for b in bounds:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpdtlab.quantizer import Quantizer
@@ -27,7 +27,7 @@ from cpdtlab.requant import (
     pointwise_errors,
     sweep_qstep_t,
 )
-from exact_inputs import extreme_offsets, extreme_steps, tie_breaks
+from exact_inputs import decision_boundaries, extreme_offsets, extreme_steps, tie_breaks
 
 
 def _oracle_errors(q_s: Quantizer, q_t: Quantizer, lo: int, hi: int) -> list[tuple]:
@@ -53,6 +53,45 @@ _windows = st.builds(
     st.integers(min_value=-(1 << 19), max_value=(1 << 19) - 1),
     st.integers(min_value=1, max_value=600),
 )
+
+
+def _walk_aligned_fraction(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> Fraction:
+    """Fraction of q_t boundaries in the domain that are q_s boundaries, one by one."""
+    boundaries = decision_boundaries(q_t, domain.lo, domain.hi)
+    if not boundaries:
+        raise ValueError("domain contains no target-step decision boundaries")
+    aligned = 0
+    f, s = q_s.offset, q_s.step
+    for b in boundaries:
+        # b is a q_s boundary iff b = +-(m - f) * s for an integer m >= 1
+        m = abs(b) / s + f
+        if m.denominator == 1 and m >= 1:
+            aligned += 1
+    return Fraction(aligned, len(boundaries))
+
+
+def _walk_split_bin_description(q_s: Quantizer, q_t: Quantizer) -> str:
+    """Split-bin description from a walk over one period of the step ratio."""
+    ratio = q_t.step / q_s.step
+    p, q = ratio.numerator, ratio.denominator
+    if q == 1 and q_s.offset == 0:
+        return f"none: target boundaries all align (target step = {p} x source step)"
+    f = q_s.offset
+    split_bins = set()
+    aligned_any = False
+    for k in range(1, q + 1):
+        pos = (k - f) * ratio + f  # target boundary location in source-bin units
+        if pos.denominator == 1:
+            aligned_any = True
+        else:
+            split_bins.add(math.floor(pos) % p)
+    if not split_bins:
+        return f"none: target boundaries all align (period {p} source bins = {q} target bins)"
+    prefix = "" if aligned_any else " (no boundary alignment)"
+    return (
+        f"{len(split_bins)} of every {p} source bins split by unaligned target "
+        f"boundaries (period {p} source bins = {q} target bins){prefix}"
+    )
 
 
 class TestFrozenValues:
@@ -228,6 +267,43 @@ class TestBoundaryOverlap:
         assert all(e.dtype == object for e in pointwise_errors(q_s, q_t, domain)[:2])
         report = boundary_overlap(q_s, q_t, domain)
         assert report.max_extra_error == float(max(chain) - max(direct))
+
+    @given(
+        step_s=st.one_of(
+            st.integers(min_value=1, max_value=60),
+            st.fractions(min_value=Fraction(1, 4), max_value=60, max_denominator=10),
+        ),
+        ratio=st.builds(
+            Fraction, st.integers(min_value=1, max_value=400),
+            st.integers(min_value=1, max_value=400),
+        ),
+        offset=st.one_of(
+            st.sampled_from(AUDIT_OFFSETS + (Fraction(1, 4), Fraction(2, 3), Fraction(5, 7))),
+            st.integers(min_value=2, max_value=60).flatmap(
+                lambda q: st.integers(min_value=0, max_value=q - 1).map(lambda p: Fraction(p, q))
+            ),
+        ),
+        lo=st.integers(min_value=-3000, max_value=3000),
+        size=st.integers(min_value=1, max_value=3000),
+    )
+    @example(step_s=10, ratio=Fraction(5, 2), offset=Fraction(0), lo=-25, size=51)
+    @example(step_s=10, ratio=Fraction(3), offset=Fraction(1, 2), lo=-14, size=29)
+    @example(step_s=10, ratio=Fraction(1, 3), offset=Fraction(1, 3), lo=5, size=200)
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_boundary_walk(self, step_s, ratio, offset, lo, size):
+        # Domains straddle zero, lie on one side or hold no boundary at all;
+        # at most about 2000 target boundaries keep the walk short.
+        q_s, q_t = Quantizer(step_s, offset), Quantizer(step_s * ratio, offset)
+        domain = CoefficientDomain(lo, lo + min(size, math.ceil(2000 * q_t.step)) - 1)
+        try:
+            expected = _walk_aligned_fraction(q_s, q_t, domain)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                boundary_overlap(q_s, q_t, domain)
+            return
+        report = boundary_overlap(q_s, q_t, domain)
+        assert report.aligned_fraction == float(expected)
+        assert report.split_bin_period == _walk_split_bin_description(q_s, q_t)
 
     def test_offset_mismatch_rejected(self):
         with pytest.raises(ValueError):
