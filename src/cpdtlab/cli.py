@@ -1,11 +1,11 @@
 """Command-line front end emitting deterministic CSV and PGM artifacts.
 
-Every CSV begins with `#` metadata lines (tool version, command, resolved
-configuration), numeric fields are formatted to 6 significant digits, and
-identical configurations produce byte-identical files.  All outputs of a
-command are fully computed before the first byte is written, then written to
-temporary files and atomically renamed, so a failing run never leaves
-partial artifacts behind.
+Every CSV begins with `#` metadata lines (tool version, command, and every
+resolved option but the output paths), numeric fields are formatted to 6
+significant digits, and identical configurations produce byte-identical
+files.  Each command handler computes its outputs and returns them as a
+path-to-bytes map; `main` alone writes them, to temporary files that are then
+atomically renamed, so a failing run never leaves partial artifacts behind.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
@@ -38,6 +38,7 @@ from .requant import (
     MEAN_ABS,
     METRICS,
     CoefficientDomain,
+    RequantPoint,
     boundary_overlap,
     error_surface,
     sweep_qstep_t,
@@ -185,15 +186,26 @@ def _fmt(value: object) -> str:
     return f"{value:.6g}"
 
 
-def _metadata(command: str, config: dict[str, object]) -> list[str]:
+# Namespace entries a CSV does not echo: the command words, which the
+# `# command:` line spells, the handler, and the output paths, which say where
+# a result goes rather than what it is.  A new output-path flag is listed
+# here; every other parsed value is echoed.
+_NOT_ECHOED = frozenset({"command", "subcommand", "handler", "out", "out_prefix"})
+
+
+def _csv(
+    args: argparse.Namespace,
+    header: str,
+    rows: list[list[str]],
+    notes: Sequence[str] = (),
+) -> bytes:
+    """A CSV: version, command and echoed options as sorted `#` lines, then
+    any further `#` notes, the header and the rows."""
+    options = vars(args)
+    command = "-".join(options[k] for k in ("command", "subcommand") if k in options)
     lines = [f"# cpdtlab {__version__}", f"# command: {command}"]
-    for key in sorted(config):
-        lines.append(f"# {key}: {config[key]}")
-    return lines
-
-
-def _csv_payload(meta: list[str], header: str, rows: list[list[str]]) -> bytes:
-    lines = meta + [header] + [",".join(cells) for cells in rows]
+    lines += [f"# {key}: {options[key]}" for key in sorted(options.keys() - _NOT_ECHOED)]
+    lines += [*notes, header, *(",".join(cells) for cells in rows)]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -262,84 +274,39 @@ def _write_outputs(outputs: dict[Path, bytes]) -> None:
         old.unlink()
 
 
-def _quant_config(args: argparse.Namespace, include_metric: bool) -> dict[str, object]:
-    config: dict[str, object] = {
-        "offset": args.offset,
-        "tie_break": args.tie_break,
-        "domain": args.domain,
-    }
-    if include_metric:
-        config["metric"] = args.metric
-    return config
+_POINT_HEADER = "qstep_s,qstep_t,e_a,e_b,ratio,metric,offset"
 
 
-def _cmd_requant_sweep(args: argparse.Namespace) -> int:
-    points = sweep_qstep_t(
-        args.qstep_s.value,
-        args.qstep_t.value,
-        args.domain.value,
-        args.metric,
-        args.offset.value,
-        args.tie_break,
-    )
-    meta = _metadata(
-        "requant-sweep",
-        {"qstep_s": args.qstep_s, "qstep_t": args.qstep_t, **_quant_config(args, True)},
-    )
-    rows = [
-        [_fmt(p.qstep_s), _fmt(p.qstep_t), _fmt(p.e_a), _fmt(p.e_b), _fmt(p.ratio),
-         p.metric, _fmt(p.offset)]
-        for p in points
-    ]
-    payload = _csv_payload(meta, "qstep_s,qstep_t,e_a,e_b,ratio,metric,offset", rows)
-    _write_outputs({Path(args.out): payload})
-    return 0
+def _point_cells(p: RequantPoint) -> list[str]:
+    """The row of one RequantPoint, shared by requant sweep and surface."""
+    return [_fmt(p.qstep_s), _fmt(p.qstep_t), _fmt(p.e_a), _fmt(p.e_b), _fmt(p.ratio),
+            p.metric, _fmt(p.offset)]
 
 
-def _cmd_requant_surface(args: argparse.Namespace) -> int:
-    surface = error_surface(
-        args.qstep_s.value,
-        args.qstep_t.value,
-        args.domain.value,
-        args.metric,
-        args.offset.value,
-        args.tie_break,
-    )
-    meta = _metadata(
-        "requant-surface",
-        {"qstep_s": args.qstep_s, "qstep_t": args.qstep_t, **_quant_config(args, True)},
-    )
-    rows = [
-        [_fmt(p.qstep_s), _fmt(p.qstep_t), _fmt(p.e_a), _fmt(p.e_b), _fmt(p.ratio),
-         p.metric, _fmt(p.offset), p.flag or ""]
-        for row in surface
-        for p in row
-    ]
-    payload = _csv_payload(meta, "qstep_s,qstep_t,e_a,e_b,ratio,metric,offset,flag", rows)
-    _write_outputs({Path(args.out): payload})
-    return 0
+def _cmd_requant_sweep(args: argparse.Namespace) -> dict[Path, bytes]:
+    points = sweep_qstep_t(args.qstep_s.value, args.qstep_t.value, args.domain.value,
+                           args.metric, args.offset.value, args.tie_break)
+    return {Path(args.out): _csv(args, _POINT_HEADER, [_point_cells(p) for p in points])}
 
 
-def _cmd_requant_overlap(args: argparse.Namespace) -> int:
+def _cmd_requant_surface(args: argparse.Namespace) -> dict[Path, bytes]:
+    surface = error_surface(args.qstep_s.value, args.qstep_t.value, args.domain.value,
+                            args.metric, args.offset.value, args.tie_break)
+    rows = [_point_cells(p) + [p.flag or ""] for row in surface for p in row]
+    return {Path(args.out): _csv(args, _POINT_HEADER + ",flag", rows)}
+
+
+def _cmd_requant_overlap(args: argparse.Namespace) -> dict[Path, bytes]:
     q_s = Quantizer(args.qstep_s.value, args.offset.value, args.tie_break)
     q_t = Quantizer(args.qstep_t.value, args.offset.value, args.tie_break)
     report = boundary_overlap(q_s, q_t, args.domain.value)
-    meta = _metadata(
-        "requant-overlap",
-        {"qstep_s": args.qstep_s, "qstep_t": args.qstep_t, **_quant_config(args, False)},
-    )
     rows = [
         [_fmt(report.qstep_s), _fmt(report.qstep_t), _fmt(report.offset),
          _fmt(report.aligned_fraction), _fmt(report.max_extra_error),
          report.split_bin_period]
     ]
-    payload = _csv_payload(
-        meta,
-        "qstep_s,qstep_t,offset,aligned_fraction,max_extra_error,split_bin_period",
-        rows,
-    )
-    _write_outputs({Path(args.out): payload})
-    return 0
+    header = "qstep_s,qstep_t,offset,aligned_fraction,max_extra_error,split_bin_period"
+    return {Path(args.out): _csv(args, header, rows)}
 
 
 def _content_spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ContentSpec:
@@ -352,25 +319,18 @@ def _content_spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         parser.error(str(exc))
 
 
-def _cmd_gen_content(args: argparse.Namespace) -> int:
-    _write_outputs({Path(args.out): encode_pgm(synth_content(args.spec))})
-    return 0
+def _cmd_gen_content(args: argparse.Namespace) -> dict[Path, bytes]:
+    return {Path(args.out): encode_pgm(synth_content(args.spec))}
 
 
-def _cmd_rd_curve(args: argparse.Namespace) -> int:
+def _cmd_rd_curve(args: argparse.Namespace) -> dict[Path, bytes]:
     plane = read_pgm(args.input)
     curve = build_rd_curve(plane, args.qp.value, args.block_size)
-    meta = _metadata(
-        "rd-curve",
-        {"input": args.input, "qp": args.qp, "block_size": args.block_size},
-    )
     rows = [[_fmt(pt.qp), _fmt(pt.rate), _fmt(pt.psnr)] for pt in curve.samples]
-    payload = _csv_payload(meta, "qp,rate,psnr", rows)
-    _write_outputs({Path(args.out): payload})
-    return 0
+    return {Path(args.out): _csv(args, "qp,rate,psnr", rows)}
 
 
-def _cmd_cpdt_sweep(args: argparse.Namespace) -> int:
+def _cmd_cpdt_sweep(args: argparse.Namespace) -> dict[Path, bytes]:
     plane = read_pgm(args.input)
     plane_id = Path(args.input).stem
     curve = build_rd_curve(plane, block_size=args.block_size)
@@ -380,25 +340,12 @@ def _cmd_cpdt_sweep(args: argparse.Namespace) -> int:
     profile = aggregate_by_ratio(records, args.bin_width)
     local_rows = local_minimum_report(records)
 
-    config = {
-        "input": args.input,
-        "qp_s": args.qp_s,
-        "qp_t": args.qp_t,
-        "bin_width": args.bin_width,
-        "block_size": args.block_size,
-    }
     record_rows = [
         [plane_id, _fmt(r.qp_s), _fmt(r.qp_t), _fmt(r.source_rate), _fmt(r.target_rate),
          _fmt(r.ratio), _fmt(r.psnr_r), _fmt(r.psnr_t), _fmt(r.psnr_c), _fmt(r.delta_psnr),
          r.flag or ""]
         for r in records
     ]
-    records_payload = _csv_payload(
-        _metadata("cpdt-sweep", config),
-        "plane_id,qp_s,qp_t,source_rate,target_rate,ratio,psnr_r,psnr_t,psnr_c,delta_psnr,flag",
-        record_rows,
-    )
-
     reference_note = "# reference full-codec scale (dB): " + " ".join(
         f"{key}={FULL_CODEC_REFERENCE[key]:g}" for key in sorted(FULL_CODEC_REFERENCE)
     )
@@ -406,34 +353,29 @@ def _cmd_cpdt_sweep(args: argparse.Namespace) -> int:
         [_fmt(b.lo), _fmt(b.hi), _fmt(b.mean_delta_psnr), _fmt(b.count)]
         for b in profile.bins
     ]
-    profile_payload = _csv_payload(
-        _metadata("cpdt-sweep", config) + [reference_note],
-        "ratio_lo,ratio_hi,mean_delta_psnr,count",
-        profile_rows,
-    )
-
     local_min_rows = [
         [plane_id, _fmt(r.qp_s), _fmt(r.best_qp_t), _fmt(r.matches), _fmt(r.delta_at_qp_s)]
         for r in local_rows
     ]
-    local_min_payload = _csv_payload(
-        _metadata("cpdt-sweep", config),
-        "plane_id,qp_s,best_qp_t,matches,delta_at_qp_s",
-        local_min_rows,
-    )
-
     prefix = Path(args.out_prefix)
-    _write_outputs(
-        {
-            prefix.with_name(prefix.name + "_records.csv"): records_payload,
-            prefix.with_name(prefix.name + "_profile.csv"): profile_payload,
-            prefix.with_name(prefix.name + "_local_min.csv"): local_min_payload,
-        }
-    )
-    return 0
+    return {
+        prefix.with_name(prefix.name + "_records.csv"): _csv(
+            args,
+            "plane_id,qp_s,qp_t,source_rate,target_rate,ratio,psnr_r,psnr_t,psnr_c,"
+            "delta_psnr,flag",
+            record_rows,
+        ),
+        prefix.with_name(prefix.name + "_profile.csv"): _csv(
+            args, "ratio_lo,ratio_hi,mean_delta_psnr,count", profile_rows, [reference_note]
+        ),
+        prefix.with_name(prefix.name + "_local_min.csv"): _csv(
+            args, "plane_id,qp_s,best_qp_t,matches,delta_at_qp_s", local_min_rows
+        ),
+    }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> dict[Path, bytes]:
+    """Print one line per acceptance check and a summary; writes no file."""
     from .acceptance import run_all
 
     def report(result) -> None:
@@ -442,8 +384,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     results = run_all(progress=report)
     passed = sum(r.passed for r in results)
-    print(f"{passed}/{len(results)} checks passed")
-    return 0 if passed == len(results) else 2
+    print(f"{passed}/{len(results)} checks passed", flush=True)
+    if passed < len(results):
+        raise RuntimeError(f"{len(results) - passed} of {len(results)} checks failed")
+    return {}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -574,10 +518,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return handler(args)
+        _write_outputs(handler(args))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -94,6 +94,8 @@ class ContentSpec:
     height: int = DEFAULT_PLANE_SIZE
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.complexity <= 1.0:
             raise ValueError(f"complexity must be in [0, 1], got {self.complexity}")
         if self.width <= 0 or self.height <= 0:

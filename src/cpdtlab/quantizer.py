@@ -139,22 +139,18 @@ class Quantizer:
 
     # -- vectorized exact path ----------------------------------------------
 
-    def quantize_scaled(self, num: np.ndarray, den: int) -> np.ndarray:
-        """Exact vectorized quantize for the rational values num/den.
+    def quantize_scaled(self, num: np.ndarray) -> np.ndarray:
+        """Exact vectorized quantize of an integer array (int64 or Python ints).
 
-        ``num`` is an integer array (int64 or Python ints), ``den`` a positive
-        integer shared denominator.  This is what lets a second quantization
-        stage consume the exact rational reconstructions of a first stage.
         Levels come back as int64 where _exact_ints allows, else as Python ints.
 
-        t = (|num|/den) / (sp/sq) + op/oq
-          = (|num|*sq*oq + op*sp*den) / (sp*oq*den)
+        t = |num| / (sp/sq) + op/oq = (|num|*sq*oq + op*sp) / (sp*oq)
         """
         sp, sq = self.step.numerator, self.step.denominator
         op, oq = self.offset.numerator, self.offset.denominator
         num_mul = sq * oq
-        num_add = op * sp * den
-        full_den = sp * oq * den
+        num_add = op * sp
+        full_den = sp * oq
         absn = _exact_ints(np.abs(num), num_mul, num_add + full_den)
         t_num = absn * num_mul + num_add
         levels = t_num // full_den

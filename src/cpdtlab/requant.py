@@ -174,11 +174,14 @@ def _error_numerators(
 
 
 def _chain_levels(q_s: Quantizer, q_t: Quantizer, x: np.ndarray) -> np.ndarray:
-    """Target levels of the quantize-dequantize-requantize chain."""
-    sp, sq = q_s.step.numerator, q_s.step.denominator
-    # first-stage reconstruction lv1*sp/sq, fed exactly into the second stage
-    lv1 = _exact_ints(q_s.quantize_scaled(x, 1), sp)
-    return q_t.quantize_scaled(lv1 * sp, sq)
+    """Target levels of the quantize-dequantize-requantize chain.
+
+    Requantizing the reconstruction level*s with step t is quantizing the
+    level with step t/s: |level*s|/t = |level|/(t/s), so the tie test is the
+    same too.
+    """
+    q_ts = Quantizer(q_t.step / q_s.step, q_t.offset, q_t.tie_break)
+    return q_ts.quantize_scaled(q_s.quantize_scaled(x))
 
 
 def pointwise_errors(
@@ -191,7 +194,7 @@ def pointwise_errors(
     Exact integer numerators; err/den gives the absolute error of each value.
     """
     x = domain.values()
-    e_a, den = _error_numerators(x, q_t.quantize_scaled(x, 1), q_t.step)
+    e_a, den = _error_numerators(x, q_t.quantize_scaled(x), q_t.step)
     e_b, _ = _error_numerators(x, _chain_levels(q_s, q_t, x), q_t.step)
     return e_a, e_b, den
 

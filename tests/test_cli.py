@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cpdtlab import acceptance
 from cpdtlab.cli import (
     MAX_RANGE_VALUES,
     _create_staging,
@@ -143,6 +144,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestVerify:
+    @pytest.mark.parametrize("passed, code", [(True, 0), (False, 2)])
+    def test_exit_code_follows_the_checks(self, passed, code, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(acceptance, "CHECKS", (("trivial", lambda ctx: (passed, "ok")),))
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify"]) == code
+        out, err = capsys.readouterr()
+        assert out.endswith(f"{int(passed)}/1 checks passed\n")
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert errors == ([] if passed else ["error: 1 of 1 checks failed"])
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestInputBounds:
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "wide"])
     def test_bad_bin_width_is_usage_error(self, value, tmp_path, capsys):
@@ -210,6 +224,7 @@ class TestInputBounds:
             (["--complexity", "1.5"], "complexity"),
             (["--complexity", "nan"], "complexity"),
             (["--width", str(MAX_PIXELS + 1), "--height", "1"], "limit"),
+            (["--seed", "-1"], "seed"),
         ],
     )
     def test_bad_gen_content_is_usage_error(self, flags, message, tmp_path, capsys):
