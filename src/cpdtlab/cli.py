@@ -376,17 +376,16 @@ def _cmd_cpdt_sweep(args: argparse.Namespace) -> dict[Path, bytes]:
 
 def _cmd_verify(args: argparse.Namespace) -> dict[Path, bytes]:
     """Print one line per acceptance check and a summary; writes no file."""
-    from .acceptance import run_all
+    from .acceptance import CHECKS, run_check
 
-    def report(result) -> None:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status}  {result.name}  [{result.seconds:.1f}s]  {result.detail}", flush=True)
-
-    results = run_all(progress=report)
-    passed = sum(r.passed for r in results)
-    print(f"{passed}/{len(results)} checks passed", flush=True)
-    if passed < len(results):
-        raise RuntimeError(f"{len(results) - passed} of {len(results)} checks failed")
+    failed = 0
+    for name in CHECKS:
+        result = run_check(name)
+        print(result, flush=True)
+        failed += not result.passed
+    print(f"{len(CHECKS) - failed}/{len(CHECKS)} checks passed", flush=True)
+    if failed:
+        raise RuntimeError(f"{failed} of {len(CHECKS)} checks failed")
     return {}
 
 
@@ -520,7 +519,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _write_outputs(handler(args))
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

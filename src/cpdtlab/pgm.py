@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 __all__ = ["read_pgm", "encode_pgm"]
+
+# Bytes a header, comments included, may take before the raster starts.
+_MAX_HEADER_BYTES = 1 << 16
 
 
 def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -35,22 +40,32 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read a binary 8-bit PGM file into a (height, width) uint8 array."""
+    """Read a binary 8-bit PGM file into a (height, width) uint8 array.
+
+    Reads the header from the first _MAX_HEADER_BYTES bytes and then only the
+    raster plus one byte, so an endless or wrong input is never read whole.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    tokens, offset = _read_header_tokens(data, 4)
-    if tokens[0] != b"P5":
-        raise ValueError(f"not a binary PGM (P5) file: magic {tokens[0]!r}")
-    width, height, maxval = (int(t) for t in tokens[1:])
-    if maxval != 255:
-        raise ValueError(f"unsupported maxval {maxval}; only 8-bit (255) PGM is handled")
-    if width <= 0 or height <= 0:
-        raise ValueError(f"bad dimensions {width}x{height}")
-    raster = data[offset : offset + width * height]
-    if len(raster) != width * height:
-        raise ValueError("truncated PGM raster")
-    if len(data) > offset + len(raster):
-        raise ValueError(f"{len(data) - offset - len(raster)} trailing bytes after the PGM raster")
+        head = f.read(_MAX_HEADER_BYTES)
+        if head[:2] != b"P5":
+            raise ValueError(f"not a binary PGM (P5) file: magic {head[:2]!r}")
+        tokens, offset = _read_header_tokens(head, 4)
+        if tokens[0] != b"P5":
+            raise ValueError(f"not a binary PGM (P5) file: magic {tokens[0]!r}")
+        width, height, maxval = (int(t) for t in tokens[1:])
+        if maxval != 255:
+            raise ValueError(f"unsupported maxval {maxval}; only 8-bit (255) PGM is handled")
+        if width <= 0 or height <= 0:
+            raise ValueError(f"bad dimensions {width}x{height}")
+        size = width * height
+        raster = head[offset : offset + size]
+        raster += f.read(size - len(raster))
+        if len(raster) != size:
+            raise ValueError("truncated PGM raster")
+        if len(head) > offset + size or f.read(1):
+            # A regular file's size gives the count; a stream has none.
+            n = os.fstat(f.fileno()).st_size - offset - size
+            raise ValueError(f"{n if n > 0 else 'some'} trailing bytes after the PGM raster")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
 
 

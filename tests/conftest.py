@@ -1,8 +1,7 @@
-"""Shared fixtures: small deterministic planes and cached sweeps."""
+"""Shared fixtures: a small deterministic plane, its curve and its sweep."""
 
 import pytest
 
-from cpdtlab.acceptance import AcceptanceContext
 from cpdtlab.codec import ContentSpec, synth_content
 from cpdtlab.cpdt import build_rd_curve, full_sweep
 
@@ -23,8 +22,3 @@ def sweep64(plane64, curve64):
     """91 transcode records: qp_s 24..30, qp_t 22..34."""
     return full_sweep(plane64, range(24, 31), range(22, 35), curve64)
 
-
-@pytest.fixture(scope="session")
-def acceptance_ctx():
-    """One shared context so the heavy 52x52 sweeps are built only once."""
-    return AcceptanceContext()

@@ -147,13 +147,26 @@ class TestExitCodes:
 class TestVerify:
     @pytest.mark.parametrize("passed, code", [(True, 0), (False, 2)])
     def test_exit_code_follows_the_checks(self, passed, code, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(acceptance, "CHECKS", (("trivial", lambda ctx: (passed, "ok")),))
+        monkeypatch.setattr(acceptance, "CHECKS", {"trivial": (lambda: (passed, "ok"), None)})
         monkeypatch.chdir(tmp_path)
         assert main(["verify"]) == code
         out, err = capsys.readouterr()
         assert out.endswith(f"{int(passed)}/1 checks passed\n")
         errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
         assert errors == ([] if passed else ["error: 1 of 1 checks failed"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_check_past_its_budget_fails(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(acceptance, "CHECKS", {"instant": (lambda: (True, "ok"), 0.0)})
+        result = acceptance.run_check("instant")
+        assert not result.passed
+        assert result.detail == "ok; over its 0s budget"
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify"]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("FAIL  instant  [")
+        assert out.endswith("0/1 checks passed\n")
+        assert err.splitlines() == ["error: 1 of 1 checks failed"]
         assert list(tmp_path.iterdir()) == []
 
 

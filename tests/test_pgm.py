@@ -1,8 +1,15 @@
 """Binary PGM serialization: round trip, header parsing, rejection paths."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cpdtlab
 from cpdtlab.pgm import encode_pgm, read_pgm
 
 
@@ -82,3 +89,47 @@ class TestRead:
     def test_rejects_truncated_header(self, tmp_path):
         with pytest.raises(ValueError):
             read_pgm(self._write(tmp_path, b"P5\n4"))
+
+
+class TestBoundedRead:
+    def test_long_tail_is_counted_not_read(self, tmp_path):
+        path = tmp_path / "tail.pgm"
+        tail = 64 << 20
+        with open(path, "wb") as f:
+            f.write(b"P5\n2 2\n255\n" + bytes(4))
+            f.truncate(f.tell() + tail)  # sparse: the tail takes no disk
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{tail} trailing bytes"):
+                read_pgm(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_endless_input_fails_in_bounded_memory(self, tmp_path):
+        if not (os.path.exists("/dev/zero") and os.path.exists("/proc/self/statm")):
+            pytest.skip("needs /dev/zero and /proc")
+        # The child caps its own address space 256 MiB above what its imports
+        # took, so a reader that reads the stream whole fails there instead of
+        # exhausting the machine.
+        code = (
+            "import os, resource, sys\n"
+            "from cpdtlab.cli import main\n"
+            "vm = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (vm + (256 << 20),) * 2)\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(cpdtlab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "rd-curve", "--input", "/dev/zero",
+             "--out", str(tmp_path / "c.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: not a binary PGM (P5) file: magic b'\\x00\\x00'"
+        ]
+        assert list(tmp_path.iterdir()) == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpdtlab.quantizer import Quantizer
+from cpdtlab.quantizer import AWAY_FROM_ZERO, TOWARD_ZERO, Quantizer
 from cpdtlab.requant import (
     AUDIT_OFFSETS,
     DEFAULT_DOMAIN,
@@ -53,6 +53,10 @@ _windows = st.builds(
     st.integers(min_value=-(1 << 19), max_value=(1 << 19) - 1),
     st.integers(min_value=1, max_value=600),
 )
+
+# A target tie at offset 1/2 with a window reaching the 16-bit domain's edge.
+_EDGE_TIE = dict(width=40, level=5, slack=Fraction(1, 2), k=3, offset_s=Fraction(1, 3),
+                 offset_t=Fraction(1, 2), tie_s=TOWARD_ZERO)
 
 
 def _walk_aligned_fraction(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> Fraction:
@@ -163,6 +167,41 @@ class TestAgainstScalarOracle:
             pt = error_ratio(q_s, q_t, domain, metric)
             assert (pt.e_a, pt.e_b) == (_oracle_metric(direct, metric),
                                         _oracle_metric(chain, metric))
+
+    @pytest.mark.parametrize("tie_t", [TOWARD_ZERO, AWAY_FROM_ZERO])
+    @given(
+        x=st.integers(min_value=1, max_value=(1 << 19) - 1), negative=st.booleans(),
+        at_hi=st.booleans(), width=st.integers(min_value=0, max_value=40),
+        level=st.integers(min_value=1, max_value=1000),
+        slack=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(
+            lambda u: 0 < u < 1
+        ),
+        k=st.integers(min_value=1, max_value=1000),
+        offset_s=extreme_offsets, offset_t=extreme_offsets, tie_s=tie_breaks,
+    )
+    @example(x=-DEFAULT_DOMAIN.lo, negative=True, at_hi=False, **_EDGE_TIE)
+    @example(x=DEFAULT_DOMAIN.hi, negative=False, at_hi=True, **_EDGE_TIE)
+    @settings(max_examples=100, deadline=None)
+    def test_reconstruction_on_a_target_tie(
+        self, tie_t, x, negative, at_hi, width, level, slack, k, offset_s, offset_t, tie_s
+    ):
+        # The source step puts x in bin `level` (|x|/s + f_s = level + slack);
+        # the target step puts that bin's reconstruction level*s exactly on
+        # target boundary k (level*s/t + f_t = k), where only tie_t decides.
+        # x sits at one edge of the domain.
+        x = -x if negative else x
+        step_s = abs(x) / (level - offset_s + slack)
+        step_t = level * step_s / (k - offset_t)
+        q_s = Quantizer(step_s, offset_s, tie_s)
+        q_t = Quantizer(step_t, offset_t, tie_t)
+        assert abs(q_s.quantize(x)) == level
+        assert abs(q_s.dequantize(level)) / q_t.step + q_t.offset == k
+        domain = CoefficientDomain(x - width, x) if at_hi else CoefficientDomain(x, x + width)
+        e_a, e_b, den = pointwise_errors(q_s, q_t, domain)
+        assert [(Fraction(int(a), den), Fraction(int(b), den))
+                for a, b in zip(e_a.tolist(), e_b.tolist())] == _oracle_errors(
+            q_s, q_t, domain.lo, domain.hi
+        )
 
 
 class TestDominanceAndTrend:
