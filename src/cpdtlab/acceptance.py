@@ -48,7 +48,7 @@ from .transform import forward_transform, inverse_transform
 
 __all__ = ["CheckResult", "CHECKS", "run_check"]
 
-# The source step and the target steps that checks 02 and 03 sweep.
+# The source step of checks 01-05 and the target steps that checks 02 and 03 sweep.
 _SOURCE_STEP = 12
 _TARGET_STEPS = range(2, 41)
 
@@ -80,10 +80,11 @@ def _sweeps() -> dict[float, list[TranscodeRecord]]:
 
 def _check_integer_multiple_identity() -> tuple[bool, str]:
     """Ratio is exactly 1.0 when the target step is an integer multiple."""
-    q_s = Quantizer(12)
-    ratios = {qt: error_ratio(q_s, Quantizer(qt)).ratio for qt in (12, 24, 36)}
-    exact = all(r == 1.0 for r in ratios.values())
-    return exact, "E_b/E_a at q_t=12/24/36 = " + "/".join(repr(r) for r in ratios.values())
+    q_s = Quantizer(_SOURCE_STEP)
+    qts = [k * _SOURCE_STEP for k in (1, 2, 3)]
+    ratios = [error_ratio(q_s, Quantizer(qt)).ratio for qt in qts]
+    exact = all(r == 1.0 for r in ratios)
+    return exact, f"E_b/E_a at q_t={'/'.join(map(str, qts))} = {'/'.join(map(repr, ratios))}"
 
 
 def _check_pointwise_dominance() -> tuple[bool, str]:
@@ -134,34 +135,33 @@ def _oracle_mean_ratio(q_s: int, q_t: int) -> Fraction:
 
 def _check_decreasing_off_multiple_trend() -> tuple[bool, str]:
     """Ratio at off-multiple steps falls as the target step grows."""
-    qts = (13, 25, 37)
-    oracle = {qt: _oracle_mean_ratio(12, qt) for qt in qts}
-    q_s = Quantizer(12)
-    impl = {qt: error_ratio(q_s, Quantizer(qt)).ratio for qt in qts}
-    oracle_ordered = oracle[37] < oracle[25] < oracle[13]
-    impl_ordered = impl[37] < impl[25] < impl[13]
-    consistent = all(abs(impl[qt] - float(oracle[qt])) < 1e-12 for qt in qts)
+    qts = [k * _SOURCE_STEP + 1 for k in (1, 2, 3)]
+    oracle = [_oracle_mean_ratio(_SOURCE_STEP, qt) for qt in qts]
+    q_s = Quantizer(_SOURCE_STEP)
+    impl = [error_ratio(q_s, Quantizer(qt)).ratio for qt in qts]
+    oracle_ordered = oracle[2] < oracle[1] < oracle[0]
+    impl_ordered = impl[2] < impl[1] < impl[0]
+    consistent = all(abs(i - float(o)) < 1e-12 for i, o in zip(impl, oracle))
     detail = (
-        f"oracle ratios 13/25/37 = {float(oracle[13]):.6f}/{float(oracle[25]):.6f}/"
-        f"{float(oracle[37]):.6f}; implementation agrees within 1e-12: {consistent}"
+        f"oracle ratios {'/'.join(map(str, qts))} = {'/'.join(f'{float(o):.6f}' for o in oracle)}"
+        f"; implementation agrees within 1e-12: {consistent}"
     )
     return oracle_ordered and impl_ordered and consistent, detail
 
 
 def _check_half_integer_minimum() -> tuple[bool, str]:
     """q_t/q_s = 2.5 is a local ratio minimum that stays above 1."""
-    q_s = Quantizer(12)
-    ratios = {
-        m: error_ratio(q_s, Quantizer(as_fraction(m) * 12)).ratio for m in ("2.3", "2.5", "2.7")
-    }
+    q_s = Quantizer(_SOURCE_STEP)
+    steps = {m: as_fraction(m) * _SOURCE_STEP for m in ("2.3", "2.5", "2.7")}
+    ratios = {m: error_ratio(q_s, Quantizer(qt)).ratio for m, qt in steps.items()}
     local_min = ratios["2.5"] < ratios["2.3"] and ratios["2.5"] < ratios["2.7"]
     above_one = ratios["2.5"] > 1.0
-    report = boundary_overlap(Quantizer(12), Quantizer(30))
+    report = boundary_overlap(q_s, Quantizer(steps["2.5"]))
     overlap_exact = report.aligned_fraction == 0.5 and report.max_extra_error == 6.0
     detail = (
         f"ratios at 2.3/2.5/2.7 x q_s = {ratios['2.3']:.6f}/{ratios['2.5']:.6f}/"
-        f"{ratios['2.7']:.6f}; overlap(12, 30): aligned {report.aligned_fraction}, "
-        f"extra {report.max_extra_error}"
+        f"{ratios['2.7']:.6f}; overlap({_SOURCE_STEP}, {steps['2.5']}): "
+        f"aligned {report.aligned_fraction}, extra {report.max_extra_error}"
     )
     return local_min and above_one and overlap_exact, detail
 
@@ -224,11 +224,8 @@ def _check_matched_qp_local_minimum() -> tuple[bool, str]:
 
 
 def _pooled_abs_delta(records: list[TranscodeRecord], lo: float, hi: float) -> list[float]:
-    return [
-        abs(r.delta_psnr)
-        for r in records
-        if r.flag is None and lo <= r.ratio < hi
-    ]
+    """|delta PSNR| of the unflagged records whose rate ratio is in [lo, hi)."""
+    return [abs(r.delta_psnr) for r in records if r.flag is None and lo <= r.ratio < hi]
 
 
 def _check_high_ratio_degradation() -> tuple[bool, str]:
@@ -254,11 +251,7 @@ def _check_source_rate_dependence() -> tuple[bool, str]:
     for complexity, records in _sweeps().items():
         means = {}
         for qp_s in (22, 38):
-            vals = [
-                abs(r.delta_psnr)
-                for r in records
-                if r.flag is None and r.qp_s == qp_s and r.ratio >= 1.0
-            ]
+            vals = _pooled_abs_delta([r for r in records if r.qp_s == qp_s], 1.0, math.inf)
             if not vals:
                 return False, f"no ratio >= 1 records for qp_s={qp_s} on plane c={complexity}"
             means[qp_s] = statistics.fmean(vals)
@@ -284,28 +277,30 @@ def _check_determinism_and_format() -> tuple[bool, str]:
         gen = ["gen-content", "--seed", "5", "--complexity", "0.6", "--width", "64",
                "--height", "64", "--out"]
         _run_cli(gen + [plane])
-        # Each run writes into an empty directory {out}; what appears there is compared.
+        # Each run writes into an empty directory {out} exactly the files named
+        # after its command, and both runs' files must match byte for byte.
         commands = [
-            gen + ["{out}/gen.pgm"],
-            ["requant", "sweep", "--qstep-s", "12", "--qstep-t", "2:14:3",
-             "--domain=-2048:2047", "--out", "{out}/sweep.csv"],
-            ["requant", "surface", "--qstep-s", "10:12:1", "--qstep-t", "10:14:2",
-             "--domain=-2048:2047", "--out", "{out}/surface.csv"],
-            ["requant", "overlap", "--qstep-s", "10", "--qstep-t", "25",
-             "--out", "{out}/overlap.csv"],
-            ["rd-curve", "--input", plane, "--qp", "18:42:6", "--out", "{out}/curve.csv"],
-            ["cpdt-sweep", "--input", plane, "--qp-s", "26:30:2", "--qp-t", "26:30:1",
-             "--out-prefix", "{out}/run"],
+            (gen + ["{out}/gen.pgm"], "gen.pgm"),
+            (["requant", "sweep", "--qstep-s", "12", "--qstep-t", "2:14:3",
+              "--domain=-2048:2047", "--out", "{out}/sweep.csv"], "sweep.csv"),
+            (["requant", "surface", "--qstep-s", "10:12:1", "--qstep-t", "10:14:2",
+              "--domain=-2048:2047", "--out", "{out}/surface.csv"], "surface.csv"),
+            (["requant", "overlap", "--qstep-s", "10", "--qstep-t", "25",
+              "--out", "{out}/overlap.csv"], "overlap.csv"),
+            (["rd-curve", "--input", plane, "--qp", "18:42:6", "--out", "{out}/curve.csv"],
+             "curve.csv"),
+            (["cpdt-sweep", "--input", plane, "--qp-s", "26:30:2", "--qp-t", "26:30:1",
+              "--out-prefix", "{out}/run"], "run_local_min.csv run_profile.csv run_records.csv"),
         ]
         mismatched = []
-        for i, argv in enumerate(commands):
+        for i, (argv, names) in enumerate(commands):
             outputs = []
             for run in ("one", "two"):
                 out = Path(tmp) / f"{i}-{run}"
                 out.mkdir()
                 _run_cli([a.replace("{out}", str(out)) for a in argv])
                 outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-            if not outputs[0] or outputs[0] != outputs[1]:
+            if sorted(outputs[0]) != names.split() or outputs[0] != outputs[1]:
                 mismatched.append(argv[0])
     identical = not mismatched
     sized = all(n == grid for n in counts)

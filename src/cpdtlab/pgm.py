@@ -8,8 +8,9 @@ import numpy as np
 
 __all__ = ["read_pgm", "encode_pgm"]
 
-# Bytes a header, comments included, may take before the raster starts.
-_MAX_HEADER_BYTES = 1 << 16
+# Most bytes asked of the input at once; the header, comments included, must
+# fit in the first read.
+_READ_BYTES = 1 << 16
 
 
 def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -42,31 +43,33 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 def read_pgm(path: str) -> np.ndarray:
     """Read a binary 8-bit PGM file into a (height, width) uint8 array.
 
-    Reads the header from the first _MAX_HEADER_BYTES bytes and then only the
-    raster plus one byte, so an endless or wrong input is never read whole.
+    Reads the header from the first _READ_BYTES bytes and then the raster in
+    pieces of at most _READ_BYTES plus one byte, so an endless, short or wrong
+    input is never read whole and costs no more memory than it holds.
     """
     with open(path, "rb") as f:
-        head = f.read(_MAX_HEADER_BYTES)
-        if head[:2] != b"P5":
+        head = f.read(_READ_BYTES)
+        # The magic is the first header token: whitespace, '#' or nothing follows it.
+        if head[:2] != b"P5" or head[2:3] not in b" \t\n\r\v\f#":
             raise ValueError(f"not a binary PGM (P5) file: magic {head[:2]!r}")
         tokens, offset = _read_header_tokens(head, 4)
-        if tokens[0] != b"P5":
-            raise ValueError(f"not a binary PGM (P5) file: magic {tokens[0]!r}")
         width, height, maxval = (int(t) for t in tokens[1:])
         if maxval != 255:
             raise ValueError(f"unsupported maxval {maxval}; only 8-bit (255) PGM is handled")
         if width <= 0 or height <= 0:
             raise ValueError(f"bad dimensions {width}x{height}")
         size = width * height
-        raster = head[offset : offset + size]
-        raster += f.read(size - len(raster))
-        if len(raster) != size:
-            raise ValueError("truncated PGM raster")
+        raster = bytearray(head[offset : offset + size])
+        while len(raster) < size:
+            chunk = f.read(min(size - len(raster), _READ_BYTES))
+            if not chunk:
+                raise ValueError("truncated PGM raster")
+            raster += chunk
         if len(head) > offset + size or f.read(1):
             # A regular file's size gives the count; a stream has none.
             n = os.fstat(f.fileno()).st_size - offset - size
             raise ValueError(f"{n if n > 0 else 'some'} trailing bytes after the PGM raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
 
 
 def encode_pgm(plane: np.ndarray) -> bytes:

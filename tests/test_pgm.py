@@ -92,20 +92,29 @@ class TestRead:
 
 
 class TestBoundedRead:
+    @staticmethod
+    def _peak_while_rejected(path, match: str) -> int:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=match):
+                read_pgm(str(path))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_long_tail_is_counted_not_read(self, tmp_path):
         path = tmp_path / "tail.pgm"
         tail = 64 << 20
         with open(path, "wb") as f:
             f.write(b"P5\n2 2\n255\n" + bytes(4))
             f.truncate(f.tell() + tail)  # sparse: the tail takes no disk
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"^{tail} trailing bytes"):
-                read_pgm(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert self._peak_while_rejected(path, f"^{tail} trailing bytes") < 1 << 20
+
+    def test_huge_header_on_a_short_file_is_truncated(self, tmp_path):
+        # The header declares 10^10 raster bytes; the file holds none of them.
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P5\n100000 100000\n255\n")
+        assert self._peak_while_rejected(path, "^truncated PGM raster$") < 1 << 20
 
     def test_endless_input_fails_in_bounded_memory(self, tmp_path):
         if not (os.path.exists("/dev/zero") and os.path.exists("/proc/self/statm")):
