@@ -38,9 +38,12 @@ from .requant import (
     AUDIT_OFFSETS,
     DEFAULT_DOMAIN,
     METRICS,
+    REFERENCE_TOLERANCE,
+    REPORTED_REFERENCE,
     boundary_overlap,
     convention_audit,
     error_ratio,
+    matches_reference,
     pointwise_errors,
     sweep_qstep_t,
 )
@@ -73,7 +76,7 @@ def _sweeps() -> dict[float, list[TranscodeRecord]]:
     """
     sweeps = {}
     for complexity in (0.3, 0.6, 0.9):
-        plane = synth_content(ContentSpec(seed=1, complexity=complexity, width=256, height=256))
+        plane = synth_content(ContentSpec(seed=1, complexity=complexity))
         sweeps[complexity] = full_sweep(plane, QP_RANGE, QP_RANGE, build_rd_curve(plane))
     return sweeps
 
@@ -172,16 +175,17 @@ def _check_convention_audit() -> tuple[bool, str]:
     complete = len(rows) == len(AUDIT_OFFSETS) * len(METRICS) and all(
         math.isfinite(r.e_a) and math.isfinite(r.e_b) and r.ratio is not None for r in rows
     )
-    matches = [r for r in rows if r.matches_reference]
-    closest = min(rows, key=lambda r: abs(r.ratio - 1.2))
+    matches = [r for r in rows if matches_reference(r)]
+    closest = min(rows, key=lambda r: abs(r.ratio - REPORTED_REFERENCE["ratio"]))
     if matches:
         note = "matching conventions: " + ", ".join(
             f"offset={r.offset:g} {r.metric}" for r in matches
         )
     else:
+        triple = ", ".join(f"{value:g}" for value in REPORTED_REFERENCE.values())
         note = (
-            "no convention reproduces (12, 14.5, 1.2) within 2%; closest ratio is "
-            f"offset={closest.offset:g} {closest.metric} at {closest.ratio:.5f}"
+            f"no convention reproduces ({triple}) within {REFERENCE_TOLERANCE:.0%}; "
+            f"closest ratio is offset={closest.offset:g} {closest.metric} at {closest.ratio:.5f}"
         )
     return complete, f"{len(rows)} rows audited; {note}"
 

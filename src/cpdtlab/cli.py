@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .codec import DEFAULT_BLOCK_SIZE, DEFAULT_PLANE_SIZE, MAX_PIXELS, ContentSpec, synth_content
@@ -32,13 +32,12 @@ from .cpdt import (
     local_minimum_report,
 )
 from .pgm import encode_pgm, read_pgm
-from .quantizer import AWAY_FROM_ZERO, QP_RANGE, TOWARD_ZERO, Quantizer, as_fraction
+from .quantizer import _TIE_BREAKS, QP_RANGE, TOWARD_ZERO, Quantizer, as_fraction
 from .requant import (
     DEFAULT_DOMAIN,
     MEAN_ABS,
     METRICS,
     CoefficientDomain,
-    RequantPoint,
     boundary_overlap,
     error_surface,
     sweep_qstep_t,
@@ -87,19 +86,23 @@ def _fraction_from_text(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _checked_arg(text: str, build: Callable[[], object]) -> _Arg:
+    """The flag value build() returns.  The ValueError of a rule it breaks (a
+    Quantizer's step or offset, a CoefficientDomain's bounds) is a usage error."""
+    try:
+        return _Arg(text, build())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _rational_arg(text: str) -> _Arg:
-    """A quantizer step: a positive rational."""
-    value = _fraction_from_text(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"step must be positive, got {text}")
-    return _Arg(text, value)
+    """A quantizer step."""
+    return _checked_arg(text, lambda: Quantizer(_fraction_from_text(text)).step)
 
 
 def _offset_arg(text: str) -> _Arg:
-    value = _fraction_from_text(text)
-    if not 0 <= value < 1:
-        raise argparse.ArgumentTypeError(f"offset must lie in [0, 1), got {text}")
-    return _Arg(text, value)
+    """A quantizer dead-zone offset, judged by a unit-step Quantizer."""
+    return _checked_arg(text, lambda: Quantizer(1, _fraction_from_text(text)).offset)
 
 
 def _bin_width_arg(text: str) -> float:
@@ -137,11 +140,10 @@ def _parse_range(text: str) -> list[Fraction]:
 
 
 def _range_arg(text: str) -> _Arg:
-    """A quantizer step or lo:hi:step range of them, each positive."""
-    values = _parse_range(text)
-    if values[0] <= 0:
-        raise argparse.ArgumentTypeError(f"steps must be positive, got {text!r}")
-    return _Arg(text, values)
+    """A quantizer step or lo:hi:step range of them."""
+    steps = _parse_range(text)
+    _checked_arg(text, lambda: Quantizer(steps[0]))  # lo, the smallest step
+    return _Arg(text, steps)
 
 
 def _qp_range_arg(text: str) -> _Arg:
@@ -167,21 +169,16 @@ def _domain_arg(text: str) -> _Arg:
         raise argparse.ArgumentTypeError(
             f"domain must be lo:hi (use --domain={_FULL_DOMAIN} for a negative lo), got {text!r}"
         )
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-        domain = CoefficientDomain(lo, hi)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return _Arg(text, domain)
+    return _checked_arg(text, lambda: CoefficientDomain(*map(int, parts)))
 
 
 def _fmt(value: object) -> str:
-    """CSV cell formatting: 6 significant digits, empty cell for None."""
+    """CSV cell formatting: 6 significant digits, text as is, empty cell for None."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return f"{value:.6g}"
 
@@ -195,17 +192,22 @@ _NOT_ECHOED = frozenset({"command", "subcommand", "handler", "out", "out_prefix"
 
 def _csv(
     args: argparse.Namespace,
-    header: str,
-    rows: list[list[str]],
+    columns: Sequence[str],
+    items: Iterable[object],
     notes: Sequence[str] = (),
+    plane_id: Optional[str] = None,
 ) -> bytes:
-    """A CSV: version, command and echoed options as sorted `#` lines, then
-    any further `#` notes, the header and the rows."""
+    """A CSV: version, command and echoed options as sorted `#` lines, any
+    further `#` notes, the header `columns` and, per item, a row of the item's
+    attributes of those names.  A plane_id leads every row as its first column."""
     options = vars(args)
     command = "-".join(options[k] for k in ("command", "subcommand") if k in options)
     lines = [f"# cpdtlab {__version__}", f"# command: {command}"]
     lines += [f"# {key}: {options[key]}" for key in sorted(options.keys() - _NOT_ECHOED)]
-    lines += [*notes, header, *(",".join(cells) for cells in rows)]
+    lead = () if plane_id is None else ("plane_id",)
+    lines += [*notes, ",".join((*lead, *columns))]
+    prefix = "" if plane_id is None else f"{plane_id},"
+    lines += [prefix + ",".join(_fmt(getattr(item, c)) for c in columns) for item in items]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -274,39 +276,30 @@ def _write_outputs(outputs: dict[Path, bytes]) -> None:
         old.unlink()
 
 
-_POINT_HEADER = "qstep_s,qstep_t,e_a,e_b,ratio,metric,offset"
-
-
-def _point_cells(p: RequantPoint) -> list[str]:
-    """The row of one RequantPoint, shared by requant sweep and surface."""
-    return [_fmt(p.qstep_s), _fmt(p.qstep_t), _fmt(p.e_a), _fmt(p.e_b), _fmt(p.ratio),
-            p.metric, _fmt(p.offset)]
+# The RequantPoint columns of requant sweep; requant surface adds "flag".
+_POINT_COLUMNS = ("qstep_s", "qstep_t", "e_a", "e_b", "ratio", "metric", "offset")
 
 
 def _cmd_requant_sweep(args: argparse.Namespace) -> dict[Path, bytes]:
     points = sweep_qstep_t(args.qstep_s.value, args.qstep_t.value, args.domain.value,
                            args.metric, args.offset.value, args.tie_break)
-    return {Path(args.out): _csv(args, _POINT_HEADER, [_point_cells(p) for p in points])}
+    return {Path(args.out): _csv(args, _POINT_COLUMNS, points)}
 
 
 def _cmd_requant_surface(args: argparse.Namespace) -> dict[Path, bytes]:
     surface = error_surface(args.qstep_s.value, args.qstep_t.value, args.domain.value,
                             args.metric, args.offset.value, args.tie_break)
-    rows = [_point_cells(p) + [p.flag or ""] for row in surface for p in row]
-    return {Path(args.out): _csv(args, _POINT_HEADER + ",flag", rows)}
+    points = [p for row in surface for p in row]
+    return {Path(args.out): _csv(args, (*_POINT_COLUMNS, "flag"), points)}
 
 
 def _cmd_requant_overlap(args: argparse.Namespace) -> dict[Path, bytes]:
     q_s = Quantizer(args.qstep_s.value, args.offset.value, args.tie_break)
     q_t = Quantizer(args.qstep_t.value, args.offset.value, args.tie_break)
     report = boundary_overlap(q_s, q_t, args.domain.value)
-    rows = [
-        [_fmt(report.qstep_s), _fmt(report.qstep_t), _fmt(report.offset),
-         _fmt(report.aligned_fraction), _fmt(report.max_extra_error),
-         report.split_bin_period]
-    ]
-    header = "qstep_s,qstep_t,offset,aligned_fraction,max_extra_error,split_bin_period"
-    return {Path(args.out): _csv(args, header, rows)}
+    columns = ("qstep_s", "qstep_t", "offset", "aligned_fraction", "max_extra_error",
+               "split_bin_period")
+    return {Path(args.out): _csv(args, columns, [report])}
 
 
 def _content_spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ContentSpec:
@@ -326,8 +319,7 @@ def _cmd_gen_content(args: argparse.Namespace) -> dict[Path, bytes]:
 def _cmd_rd_curve(args: argparse.Namespace) -> dict[Path, bytes]:
     plane = read_pgm(args.input)
     curve = build_rd_curve(plane, args.qp.value, args.block_size)
-    rows = [[_fmt(pt.qp), _fmt(pt.rate), _fmt(pt.psnr)] for pt in curve.samples]
-    return {Path(args.out): _csv(args, "qp,rate,psnr", rows)}
+    return {Path(args.out): _csv(args, ("qp", "rate", "psnr"), curve.samples)}
 
 
 def _cmd_cpdt_sweep(args: argparse.Namespace) -> dict[Path, bytes]:
@@ -339,38 +331,21 @@ def _cmd_cpdt_sweep(args: argparse.Namespace) -> dict[Path, bytes]:
     )
     profile = aggregate_by_ratio(records, args.bin_width)
     local_rows = local_minimum_report(records)
-
-    record_rows = [
-        [plane_id, _fmt(r.qp_s), _fmt(r.qp_t), _fmt(r.source_rate), _fmt(r.target_rate),
-         _fmt(r.ratio), _fmt(r.psnr_r), _fmt(r.psnr_t), _fmt(r.psnr_c), _fmt(r.delta_psnr),
-         r.flag or ""]
-        for r in records
-    ]
     reference_note = "# reference full-codec scale (dB): " + " ".join(
         f"{key}={FULL_CODEC_REFERENCE[key]:g}" for key in sorted(FULL_CODEC_REFERENCE)
     )
-    profile_rows = [
-        [_fmt(b.lo), _fmt(b.hi), _fmt(b.mean_delta_psnr), _fmt(b.count)]
-        for b in profile.bins
-    ]
-    local_min_rows = [
-        [plane_id, _fmt(r.qp_s), _fmt(r.best_qp_t), _fmt(r.matches), _fmt(r.delta_at_qp_s)]
-        for r in local_rows
-    ]
+    record_columns = ("qp_s", "qp_t", "source_rate", "target_rate", "ratio", "psnr_r",
+                      "psnr_t", "psnr_c", "delta_psnr", "flag")
+    profile_columns = ("ratio_lo", "ratio_hi", "mean_delta_psnr", "count")
+    local_min_columns = ("qp_s", "best_qp_t", "matches", "delta_at_qp_s")
     prefix = Path(args.out_prefix)
     return {
-        prefix.with_name(prefix.name + "_records.csv"): _csv(
-            args,
-            "plane_id,qp_s,qp_t,source_rate,target_rate,ratio,psnr_r,psnr_t,psnr_c,"
-            "delta_psnr,flag",
-            record_rows,
-        ),
-        prefix.with_name(prefix.name + "_profile.csv"): _csv(
-            args, "ratio_lo,ratio_hi,mean_delta_psnr,count", profile_rows, [reference_note]
-        ),
-        prefix.with_name(prefix.name + "_local_min.csv"): _csv(
-            args, "plane_id,qp_s,best_qp_t,matches,delta_at_qp_s", local_min_rows
-        ),
+        prefix.with_name(prefix.name + "_records.csv"):
+            _csv(args, record_columns, records, plane_id=plane_id),
+        prefix.with_name(prefix.name + "_profile.csv"):
+            _csv(args, profile_columns, profile.bins, [reference_note]),
+        prefix.with_name(prefix.name + "_local_min.csv"):
+            _csv(args, local_min_columns, local_rows, plane_id=plane_id),
     }
 
 
@@ -407,7 +382,7 @@ def _add_quant_flags(parser: argparse.ArgumentParser, include_metric: bool) -> N
     )
     parser.add_argument(
         "--tie-break",
-        choices=(TOWARD_ZERO, AWAY_FROM_ZERO),
+        choices=_TIE_BREAKS,
         default=TOWARD_ZERO,
         help="which level wins when |x|/step + offset is an exact integer",
     )

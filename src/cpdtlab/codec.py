@@ -60,6 +60,9 @@ CODEC_DEADZONE_OFFSET = 1.0 / 3.0
 
 DEFAULT_BLOCK_SIZE = 8
 
+# Mid-grey: samples are centred by it before the transform and restored after.
+_MID_GREY = 128
+
 # Width and height of a synthetic plane unless the caller picks others.
 DEFAULT_PLANE_SIZE = 256
 
@@ -143,7 +146,7 @@ def _untile(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def _transform_plane(plane: np.ndarray, block_size: int) -> np.ndarray:
-    """Tile a uint8 plane, center it by 128 and forward-transform every block.
+    """Tile a uint8 plane, center it by _MID_GREY and forward-transform every block.
 
     The coefficients do not depend on qp, so a caller scoring one plane at
     many qps transforms it once.
@@ -151,7 +154,7 @@ def _transform_plane(plane: np.ndarray, block_size: int) -> np.ndarray:
     plane = _check_plane(plane)
     if block_size not in TRANSFORM_SIZES:
         raise ValueError(f"block_size must be one of {TRANSFORM_SIZES}, got {block_size}")
-    return forward_transform(_tile(plane, block_size).astype(np.int16) - 128)
+    return forward_transform(_tile(plane, block_size).astype(np.int16) - _MID_GREY)
 
 
 def _quantize(coeff: np.ndarray, qp: int, block_size: int) -> np.ndarray:
@@ -197,7 +200,7 @@ def decode_plane(enc: EncodedPlane) -> np.ndarray:
     coeff = _dequantize(enc.levels, enc.qp, enc.block_size).astype(np.int16)
     residual = inverse_transform(coeff)
     # In place: fresh plane-sized temporaries cost more than the arithmetic on them.
-    residual += 128
+    residual += _MID_GREY
     pixels = np.clip(residual, 0, PIXEL_MAX, out=residual).astype(np.uint8)
     return _untile(pixels, enc.height, enc.width)
 
@@ -277,7 +280,7 @@ class _Scorer:
     formulas run on the same values, so:
 
     - the dequantized values, gathered into the transform's (row, block, col)
-      layout, give decode_plane's pixels; +128 is folded into the last shift;
+      layout, give decode_plane's pixels; +_MID_GREY is folded into the last shift;
     - the dead-zone law is monotone, so merging the counts of neighbouring
       values with equal levels gives the level histogram in ascending level
       order, the order estimate_rate sums it in;
@@ -314,7 +317,7 @@ class _Scorer:
             histogram = np.add.reduceat(counts, np.flatnonzero(new_level))
             rate = _rate_from_counts(histogram, coeff.size, self.samples)
             np.take(_dequantize(levels, qp, block_size), gather, out=x, mode="clip")
-            _inverse_rows(x, work, bias=128)
+            _inverse_rows(x, work, bias=_MID_GREY)
             np.clip(x, 0, PIXEL_MAX, out=x)
             x -= self.rows
             flat[self.padding] = 0.0

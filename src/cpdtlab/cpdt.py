@@ -121,8 +121,8 @@ class TranscodeRecord:
 
 @dataclass(frozen=True)
 class RatioBin:
-    lo: float
-    hi: float
+    ratio_lo: float
+    ratio_hi: float
     mean_delta_psnr: Optional[float]
     count: int
 
@@ -131,7 +131,7 @@ class RatioBin:
 class RatioProfile:
     """Mean delta-PSNR pooled per transcoding-ratio bin.
 
-    Bins are contiguous half-open intervals [lo, hi) of width bin_width
+    Bins are contiguous half-open intervals [ratio_lo, ratio_hi) of width bin_width
     starting at 0 and extending far enough that every non-flagged record
     lands in exactly one bin.
     """
@@ -276,7 +276,7 @@ def aggregate_by_ratio(
     for i in range(top):
         n = counts.get(i, 0)
         mean = sums[i] / n if n else None
-        bins.append(RatioBin(lo=i * bin_width, hi=(i + 1) * bin_width, mean_delta_psnr=mean, count=n))
+        bins.append(RatioBin(i * bin_width, (i + 1) * bin_width, mean, n))
     return RatioProfile(bin_width=bin_width, bins=tuple(bins))
 
 

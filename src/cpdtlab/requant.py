@@ -36,13 +36,13 @@ __all__ = [
     "MAX_DOMAIN_SIZE",
     "RequantPoint",
     "OverlapReport",
-    "AuditRow",
     "error_ratio",
     "pointwise_errors",
     "sweep_qstep_t",
     "error_surface",
     "boundary_overlap",
     "convention_audit",
+    "matches_reference",
 ]
 
 MEAN_ABS = "mean-abs"
@@ -61,7 +61,8 @@ class CoefficientDomain:
     """Inclusive integer range of source values to evaluate exhaustively.
 
     At most MAX_DOMAIN_SIZE values, so a typo in a bound fails at once
-    instead of allocating arrays without bound.
+    instead of allocating arrays without bound.  Both bounds lie in
+    +-(2**63 - 1): the values are int64, and np.abs wraps -2**63.
     """
 
     lo: int
@@ -70,6 +71,8 @@ class CoefficientDomain:
     def __post_init__(self):
         if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
             raise TypeError("domain bounds must be integers")
+        if max(abs(self.lo), abs(self.hi)) >= 1 << 63:
+            raise ValueError(f"domain bounds must lie in +-(2**63 - 1): [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"empty domain: [{self.lo}, {self.hi}]")
         if self.size > MAX_DOMAIN_SIZE:
@@ -128,18 +131,6 @@ class OverlapReport:
     aligned_fraction: float
     split_bin_period: str
     max_extra_error: float
-
-
-@dataclass(frozen=True)
-class AuditRow:
-    """One convention-audit entry: a (offset, metric) pair's E_a/E_b/ratio."""
-
-    offset: float
-    metric: str
-    e_a: float
-    e_b: float
-    ratio: Optional[float]
-    matches_reference: bool
 
 
 def _require_metric(metric: str) -> None:
@@ -343,39 +334,34 @@ def boundary_overlap(
 
 
 # (E_a, E_b, ratio) previously reported for the QStep 10 -> 20 chain; the
-# generating convention was left unspecified, so the audit table below
-# recomputes the chain over the default domain, toward zero, under every
-# supported (offset, metric) convention and records which, if any, reproduces
-# these values within 2%.
+# generating convention was left unspecified, so the audit recomputes the
+# chain over the default domain, toward zero, under every supported
+# (offset, metric) convention, and matches_reference says which, if any,
+# reproduces these values within REFERENCE_TOLERANCE.
 REPORTED_REFERENCE = {"e_a": 12.0, "e_b": 14.5, "ratio": 1.2}
+REFERENCE_TOLERANCE = 0.02
 
 AUDIT_OFFSETS = (Fraction(0), Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
 
 
-def convention_audit() -> list[AuditRow]:
-    """E_a/E_b/ratio of the 10 -> 20 chain under every (offset, metric) convention.
+def matches_reference(point: RequantPoint) -> bool:
+    """Whether e_a, e_b and ratio each lie within REFERENCE_TOLERANCE
+    (relative) of REPORTED_REFERENCE; an undefined ratio never matches."""
+    return point.ratio is not None and all(
+        math.isclose(getattr(point, key), ref, rel_tol=REFERENCE_TOLERANCE)
+        for key, ref in REPORTED_REFERENCE.items()
+    )
 
-    Each row is checked against REPORTED_REFERENCE within 2%; the caller gets
-    the full table regardless of whether any row matches, which is the honest
-    answer when the generating convention of a reported value pair cannot be
-    pinned down.
+
+def convention_audit() -> list[RequantPoint]:
+    """The 10 -> 20 chain under every (offset, metric) convention, offsets outer.
+
+    The caller gets the full table whether or not any point matches the
+    reference, which is the honest answer when the generating convention of a
+    reported value pair cannot be pinned down.
     """
-    rows = []
-    for off in AUDIT_OFFSETS:
-        for metric in METRICS:
-            pt = error_ratio(Quantizer(10, off), Quantizer(20, off), DEFAULT_DOMAIN, metric)
-            matches = pt.ratio is not None and all(
-                math.isclose(getattr(pt, key), ref, rel_tol=0.02)
-                for key, ref in REPORTED_REFERENCE.items()
-            )
-            rows.append(
-                AuditRow(
-                    offset=float(off),
-                    metric=metric,
-                    e_a=pt.e_a,
-                    e_b=pt.e_b,
-                    ratio=pt.ratio,
-                    matches_reference=matches,
-                )
-            )
-    return rows
+    return [
+        error_ratio(Quantizer(10, off), Quantizer(20, off), DEFAULT_DOMAIN, metric)
+        for off in AUDIT_OFFSETS
+        for metric in METRICS
+    ]

@@ -77,6 +77,20 @@ class TestRangeParsing:
         assert code == 1
         assert "limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("domain", ["-9223372036854775808:-9223372036854775805",
+                                        "9223372036854775807:9223372036854775808"])
+    def test_domain_outside_int64_is_usage_error(self, domain, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["requant", "sweep", "--qstep-s", "12", "--qstep-t", "13",
+                     f"--domain={domain}", "--out", str(out)])
+        assert code == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert errors == [
+            "cpdtlab requant sweep: error: argument --domain: domain bounds must lie in "
+            f"+-(2**63 - 1): [{domain.replace(':', ', ')}]"
+        ]
+        assert not out.exists()
+
     def test_int_range_rejects_fractions(self):
         with pytest.raises(argparse.ArgumentTypeError):
             _qp_range_arg("0:5:0.5")
@@ -132,6 +146,22 @@ class TestExitCodes:
              "--offset", "1", "--out", str(out)]
         )
         assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--offset=1", "offset must be in [0, 1), got 1"),
+         ("--offset=-1/2", "offset must be in [0, 1), got -1/2"),
+         ("--qstep-t=0:10:5", "step must be positive, got 0"),
+         ("--tie-break=nearest", "invalid choice: 'nearest'")],
+    )
+    def test_quantizer_rules_are_usage_errors(self, flag, message, tmp_path, capsys):
+        # The messages are Quantizer's own: the CLI keeps no copy of its rules.
+        out = tmp_path / "x.csv"
+        code = main(["requant", "sweep", "--qstep-s", "12", "--qstep-t", "24", flag,
+                     "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):

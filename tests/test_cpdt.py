@@ -222,11 +222,11 @@ class TestAggregate:
 
     def test_bins_are_contiguous_from_zero(self, sweep64):
         profile = aggregate_by_ratio(sweep64, bin_width=0.05)
-        assert profile.bins[0].lo == 0.0
+        assert profile.bins[0].ratio_lo == 0.0
         for a, b in zip(profile.bins, profile.bins[1:]):
-            assert a.hi == b.lo
+            assert a.ratio_hi == b.ratio_lo
         for b in profile.bins:
-            assert b.hi - b.lo == pytest.approx(0.05, abs=1e-12)
+            assert b.ratio_hi - b.ratio_lo == pytest.approx(0.05, abs=1e-12)
             assert (b.mean_delta_psnr is None) == (b.count == 0)
 
     def test_single_record_occupies_one_bin(self, sweep64):
@@ -236,7 +236,7 @@ class TestAggregate:
         assert len(occupied) == 1
         assert occupied[0].count == 1
         assert occupied[0].mean_delta_psnr == rec.delta_psnr
-        assert occupied[0].lo <= rec.ratio < occupied[0].hi
+        assert occupied[0].ratio_lo <= rec.ratio < occupied[0].ratio_hi
 
     def test_order_invariance(self, sweep64):
         base = aggregate_by_ratio(sweep64, bin_width=0.05)

@@ -1,6 +1,7 @@
 """Requantization analysis: frozen values, independent oracle, properties."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +21,12 @@ from cpdtlab.requant import (
     RMS,
     UNDEFINED_RATIO,
     CoefficientDomain,
+    RequantPoint,
     boundary_overlap,
     convention_audit,
     error_ratio,
     error_surface,
+    matches_reference,
     pointwise_errors,
     sweep_qstep_t,
 )
@@ -53,6 +56,9 @@ _windows = st.builds(
     st.integers(min_value=-(1 << 19), max_value=(1 << 19) - 1),
     st.integers(min_value=1, max_value=600),
 )
+
+# Largest int64, the largest |bound| a CoefficientDomain takes.
+_I64 = (1 << 63) - 1
 
 # A target tie at offset 1/2 with a window reaching the 16-bit domain's edge.
 _EDGE_TIE = dict(width=40, level=5, slack=Fraction(1, 2), k=3, offset_s=Fraction(1, 3),
@@ -150,6 +156,12 @@ class TestAgainstScalarOracle:
         offset_s=extreme_offsets, offset_t=extreme_offsets,
         tie_s=tie_breaks, tie_t=tie_breaks, domain=_windows,
     )
+    # Domains at the int64 edge, +-(2**63 - 1), where every value's negation is still int64.
+    @example(step_s=12, step_t=13, offset_s=Fraction(1, 3), offset_t=Fraction(1, 3),
+             tie_s=TOWARD_ZERO, tie_t=TOWARD_ZERO, domain=CoefficientDomain(-_I64, -_I64 + 5))
+    @example(step_s=7, step_t=Fraction("12.34567890123456789"), offset_s=Fraction(1, 3),
+             offset_t=Fraction(1, 3), tie_s=AWAY_FROM_ZERO, tie_t=TOWARD_ZERO,
+             domain=CoefficientDomain(_I64 - 5, _I64))
     @settings(max_examples=150, deadline=None)
     def test_pointwise_errors_are_exact_numerators(
         self, step_s, step_t, offset_s, offset_t, tie_s, tie_t, domain
@@ -369,7 +381,17 @@ class TestConventionAudit:
         # must say so honestly rather than match by construction.
         rows = convention_audit()
         assert REPORTED_REFERENCE == {"e_a": 12.0, "e_b": 14.5, "ratio": 1.2}
-        assert not any(r.matches_reference for r in rows)
+        assert not any(matches_reference(r) for r in rows)
+
+    def test_matches_reference_is_a_two_percent_rule(self):
+        ref = REPORTED_REFERENCE
+        at_ref = RequantPoint(10.0, 20.0, ref["e_a"], ref["e_b"], ref["ratio"], MEAN_ABS, 0.0)
+        assert matches_reference(at_ref)
+        for key, value in ref.items():
+            assert matches_reference(replace(at_ref, **{key: value * 1.01}))
+            for factor in (0.97, 1.03):
+                assert not matches_reference(replace(at_ref, **{key: value * factor}))
+        assert not matches_reference(replace(at_ref, ratio=None))
 
 
 class TestCoefficientDomain:
@@ -383,6 +405,12 @@ class TestCoefficientDomain:
         assert DEFAULT_DOMAIN.size == 1 << 16
         with pytest.raises(ValueError, match="limit"):
             CoefficientDomain(-(1 << 19), 1 << 19)
+
+    @pytest.mark.parametrize("lo, hi", [(-(1 << 63), -(1 << 63) + 3), (1 << 63, (1 << 63) + 1)])
+    def test_bounds_outside_int64_rejected(self, lo, hi):
+        # np.abs wraps -2**63 to itself, and 2**63 is no int64 at all.
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            CoefficientDomain(lo, hi)
 
     def test_size_and_values(self):
         d = CoefficientDomain(-3, 3)
