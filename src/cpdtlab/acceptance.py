@@ -29,7 +29,6 @@ from .codec import ContentSpec, synth_content
 from .cpdt import (
     LOCAL_MIN_QPS,
     TranscodeRecord,
-    build_rd_curve,
     full_sweep,
     local_minimum_report,
 )
@@ -77,7 +76,7 @@ def _sweeps() -> dict[float, list[TranscodeRecord]]:
     sweeps = {}
     for complexity in (0.3, 0.6, 0.9):
         plane = synth_content(ContentSpec(seed=1, complexity=complexity))
-        sweeps[complexity] = full_sweep(plane, QP_RANGE, QP_RANGE, build_rd_curve(plane))
+        sweeps[complexity] = full_sweep(plane, QP_RANGE, QP_RANGE)
     return sweeps
 
 

@@ -44,7 +44,7 @@ from .requant import (
 )
 from .transform import TRANSFORM_SIZES
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 # Published cascaded-transcoding losses (dB) of a full HEVC encoder (HM 15.0)
 # on full-HD sequences.  The profile CSV quotes them as context for the toy
@@ -325,10 +325,7 @@ def _cmd_rd_curve(args: argparse.Namespace) -> dict[Path, bytes]:
 def _cmd_cpdt_sweep(args: argparse.Namespace) -> dict[Path, bytes]:
     plane = read_pgm(args.input)
     plane_id = Path(args.input).stem
-    curve = build_rd_curve(plane, block_size=args.block_size)
-    records = full_sweep(
-        plane, args.qp_s.value, args.qp_t.value, curve, block_size=args.block_size
-    )
+    records = full_sweep(plane, args.qp_s.value, args.qp_t.value, block_size=args.block_size)
     profile = aggregate_by_ratio(records, args.bin_width)
     local_rows = local_minimum_report(records)
     reference_note = "# reference full-codec scale (dB): " + " ".join(
@@ -343,7 +340,7 @@ def _cmd_cpdt_sweep(args: argparse.Namespace) -> dict[Path, bytes]:
         prefix.with_name(prefix.name + "_records.csv"):
             _csv(args, record_columns, records, plane_id=plane_id),
         prefix.with_name(prefix.name + "_profile.csv"):
-            _csv(args, profile_columns, profile.bins, [reference_note]),
+            _csv(args, profile_columns, profile, [reference_note]),
         prefix.with_name(prefix.name + "_local_min.csv"):
             _csv(args, local_min_columns, local_rows, plane_id=plane_id),
     }
@@ -399,7 +396,7 @@ def _add_quant_flags(parser: argparse.ArgumentParser, include_metric: bool) -> N
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cpdtlab",
         description="Requantization error analysis and cascaded transcoding experiments.",
@@ -480,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "gen-content":

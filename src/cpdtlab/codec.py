@@ -229,7 +229,7 @@ def _psnr_from_sse(sse: int, samples: int) -> float:
     mse = sse / samples
     if mse == 0.0:
         return PSNR_CAP
-    return min(10.0 * np.log10(PIXEL_MAX * PIXEL_MAX / mse), PSNR_CAP)
+    return float(min(10.0 * np.log10(PIXEL_MAX * PIXEL_MAX / mse), PSNR_CAP))
 
 
 def psnr(reference: np.ndarray, test: np.ndarray) -> float:

@@ -40,14 +40,11 @@ from .requant import UNDEFINED_RATIO
 __all__ = [
     "RATE_OUT_OF_SPAN",
     "DEFAULT_BIN_WIDTH",
-    "UNDEFINED_RATIO",
     "RDPoint",
     "RDCurve",
     "TranscodeRecord",
     "RatioBin",
-    "RatioProfile",
     "LocalMinimumRow",
-    "RateOutOfSpanError",
     "build_rd_curve",
     "interp_psnr_at_rate",
     "full_sweep",
@@ -70,10 +67,6 @@ DEFAULT_BIN_WIDTH = 0.05
 MAX_RATIO_BINS = 10_000
 
 
-class RateOutOfSpanError(ValueError):
-    """Requested rate lies outside the interpolable span of an RD curve."""
-
-
 @dataclass(frozen=True)
 class RDPoint:
     qp: int
@@ -93,10 +86,6 @@ class RDCurve:
 
     samples: tuple[RDPoint, ...]
     points: tuple[RDPoint, ...]
-
-    @property
-    def rate_span(self) -> tuple[float, float]:
-        return (self.points[0].rate, self.points[-1].rate)
 
 
 @dataclass(frozen=True)
@@ -125,19 +114,6 @@ class RatioBin:
     ratio_hi: float
     mean_delta_psnr: Optional[float]
     count: int
-
-
-@dataclass(frozen=True)
-class RatioProfile:
-    """Mean delta-PSNR pooled per transcoding-ratio bin.
-
-    Bins are contiguous half-open intervals [ratio_lo, ratio_hi) of width bin_width
-    starting at 0 and extending far enough that every non-flagged record
-    lands in exactly one bin.
-    """
-
-    bin_width: float
-    bins: tuple[RatioBin, ...]
 
 
 @dataclass(frozen=True)
@@ -179,26 +155,22 @@ def build_rd_curve(
     return RDCurve(samples=tuple(samples), points=tuple(cleaned))
 
 
-def interp_psnr_at_rate(curve: RDCurve, rate: float) -> float:
+def interp_psnr_at_rate(curve: RDCurve, rate: float) -> Optional[float]:
     """PSNR of the curve at a rate, linear in log2(rate) between points.
 
     Exact point rates short-circuit to that point's PSNR.  Rates outside the
-    curve's span raise RateOutOfSpanError; no extrapolation.  So does a rate
-    between a zero-rate point and the next point, where log2 is undefined.  At
-    the log2 midpoint of two rates this returns the arithmetic mean of their
-    PSNRs.
+    curve's span return None; no extrapolation.  So does a rate between a
+    zero-rate point and the next point, where log2 is undefined.  At the log2
+    midpoint of two rates this returns the arithmetic mean of their PSNRs.
     """
     rates = [p.rate for p in curve.points]
     i = bisect_left(rates, rate)
     if i < len(rates) and rates[i] == rate:
         return curve.points[i].psnr
-    if i == 0 or i == len(rates):
-        lo, hi = curve.rate_span
-        raise RateOutOfSpanError(f"rate {rate} outside curve span [{lo}, {hi}]")
+    if i == 0 or i == len(rates) or rates[i - 1] <= 0.0:
+        return None
     r0, p0 = rates[i - 1], curve.points[i - 1].psnr
     r1, p1 = rates[i], curve.points[i].psnr
-    if r0 <= 0.0:
-        raise RateOutOfSpanError(f"rate {rate} below the smallest positive curve rate {r1}")
     t = (math.log2(rate) - math.log2(r0)) / (math.log2(r1) - math.log2(r0))
     return p0 + t * (p1 - p0)
 
@@ -207,22 +179,27 @@ def full_sweep(
     plane: np.ndarray,
     qp_s_values: Sequence[int],
     qp_t_values: Sequence[int],
-    direct_curve: RDCurve,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[TranscodeRecord]:
     """Every (qp_s, qp_t) pair, scored against the plane's direct curve.
 
-    Cost model.  Once per sweep the plane is tiled into the transform's
-    (row, block, col) layout as the PSNR reference.  Once per qp_s the source
-    is encoded, decoded through decode_plane (its pixels are the transcoder's
-    input), scored, and its reconstruction forward-transformed; the distinct
-    values of those coefficients, their counts and a gather index are then
-    found in O(plane size).  Once per (qp_s, qp_t) pair only the distinct
-    values are quantized and dequantized, the rate is read from their merged
-    counts, and one gather, one in-place inverse transform (two flat GEMMs)
-    and one exact squared-error sum give the PSNR (codec._Scorer).  The
-    pair's work buffers live for one qp_s, so no two sources hold them at once.
+    The direct curve is the plane's own RD curve over QP_RANGE at the sweep's
+    block size; no curve from another plane or block size can enter.
+
+    Cost model.  Once per sweep the direct curve is built (codec._Scorer
+    scores every qp on one forward transform of the plane), and the plane is
+    tiled into the transform's (row, block, col) layout as the PSNR
+    reference.  Once per qp_s the source is encoded, decoded through
+    decode_plane (its pixels are the transcoder's input), scored, and its
+    reconstruction forward-transformed; the distinct values of those
+    coefficients, their counts and a gather index are then found in O(plane
+    size).  Once per (qp_s, qp_t) pair only the distinct values are quantized
+    and dequantized, the rate is read from their merged counts, and one
+    gather, one in-place inverse transform (two flat GEMMs) and one exact
+    squared-error sum give the PSNR (codec._Scorer).  The pair's work buffers
+    live for one qp_s, so no two sources hold them at once.
     """
+    direct_curve = build_rd_curve(plane, block_size=block_size)
     scorer = _Scorer(plane, block_size)
     records = []
     for qp_s in qp_s_values:
@@ -236,9 +213,8 @@ def full_sweep(
                 flag = UNDEFINED_RATIO
             else:
                 ratio = target_rate / source_rate
-                try:
-                    psnr_c = interp_psnr_at_rate(direct_curve, target_rate)
-                except RateOutOfSpanError:
+                psnr_c = interp_psnr_at_rate(direct_curve, target_rate)
+                if psnr_c is None:
                     flag = RATE_OUT_OF_SPAN
             records.append(
                 TranscodeRecord(
@@ -252,11 +228,14 @@ def full_sweep(
 
 def aggregate_by_ratio(
     records: Sequence[TranscodeRecord], bin_width: float = DEFAULT_BIN_WIDTH
-) -> RatioProfile:
-    """Pool non-flagged records into contiguous ratio bins of equal width.
+) -> tuple[RatioBin, ...]:
+    """Mean delta-PSNR of the non-flagged records pooled per transcoding-ratio bin.
 
-    Raises ValueError when bin_width is not positive and finite, or when the
-    bins would number more than MAX_RATIO_BINS.
+    Bins are contiguous half-open intervals [ratio_lo, ratio_hi) of width
+    bin_width, starting at 0 and extending just far enough that every
+    non-flagged record lands in exactly one bin.  Raises ValueError when
+    bin_width is not positive and finite, or when the bins would number more
+    than MAX_RATIO_BINS.
     """
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
@@ -277,7 +256,7 @@ def aggregate_by_ratio(
         n = counts.get(i, 0)
         mean = sums[i] / n if n else None
         bins.append(RatioBin(i * bin_width, (i + 1) * bin_width, mean, n))
-    return RatioProfile(bin_width=bin_width, bins=tuple(bins))
+    return tuple(bins)
 
 
 def local_minimum_report(records: Sequence[TranscodeRecord]) -> list[LocalMinimumRow]:

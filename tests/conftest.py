@@ -18,7 +18,7 @@ def curve64(plane64):
 
 
 @pytest.fixture(scope="session")
-def sweep64(plane64, curve64):
+def sweep64(plane64):
     """91 transcode records: qp_s 24..30, qp_t 22..34."""
-    return full_sweep(plane64, range(24, 31), range(22, 35), curve64)
+    return full_sweep(plane64, range(24, 31), range(22, 35))
 

@@ -17,9 +17,7 @@ from cpdtlab.codec import (
 from cpdtlab.cpdt import (
     MAX_RATIO_BINS,
     RATE_OUT_OF_SPAN,
-    UNDEFINED_RATIO,
     LocalMinimumRow,
-    RateOutOfSpanError,
     RDCurve,
     RDPoint,
     TranscodeRecord,
@@ -29,6 +27,7 @@ from cpdtlab.cpdt import (
     interp_psnr_at_rate,
     local_minimum_report,
 )
+from cpdtlab.requant import UNDEFINED_RATIO
 
 
 def _two_point_curve() -> RDCurve:
@@ -48,10 +47,13 @@ class TestRDCurve:
         assert all(b > a for a, b in zip(psnrs, psnrs[1:]))
 
     def test_span_endpoints(self, curve64):
-        lo, hi = curve64.rate_span
-        assert lo == curve64.points[0].rate
-        assert hi == curve64.points[-1].rate
-        assert lo < hi
+        # The first and last points bound the interpolable span.
+        lo, hi = curve64.points[0], curve64.points[-1]
+        assert lo.rate < hi.rate
+        assert interp_psnr_at_rate(curve64, lo.rate) == lo.psnr
+        assert interp_psnr_at_rate(curve64, hi.rate) == hi.psnr
+        assert interp_psnr_at_rate(curve64, math.nextafter(lo.rate, 0.0)) is None
+        assert interp_psnr_at_rate(curve64, math.nextafter(hi.rate, math.inf)) is None
 
     def test_empty_qp_list_rejected(self, plane64):
         with pytest.raises(ValueError):
@@ -86,10 +88,11 @@ class TestSweepMatchesPlainChain:
 
     @pytest.mark.parametrize("block_size", [4, 8])
     def test_sweep_records(self, block_size):
+        # psnr_c is read off the plane's own curve at the sweep's block size.
         plane = _odd_plane()
         curve = build_rd_curve(plane, block_size=block_size)
         qp_s_values, qp_t_values = [12, 31], [0, 12, 30, 33, 51]
-        records = full_sweep(plane, qp_s_values, qp_t_values, curve, block_size)
+        records = full_sweep(plane, qp_s_values, qp_t_values, block_size)
         assert [(r.qp_s, r.qp_t) for r in records] == [
             (s, t) for s in qp_s_values for t in qp_t_values
         ]
@@ -101,16 +104,16 @@ class TestSweepMatchesPlainChain:
             assert rec.psnr_r == psnr(plane, recon)
             assert rec.target_rate == estimate_rate(target)
             assert rec.psnr_t == psnr(plane, decode_plane(target))
-            if rec.flag is None:
-                assert rec.psnr_c == interp_psnr_at_rate(curve, rec.target_rate)
+            assert rec.psnr_c == interp_psnr_at_rate(curve, rec.target_rate)
+            assert (rec.psnr_c is None) == (rec.flag == RATE_OUT_OF_SPAN)
 
     @pytest.mark.parametrize(
         "qp_s, qp_t, block_size",
         [([52], [30], 8), ([30], [52], 8), ([-1], [30], 8), ([30], [-1], 8), ([30], [30], 16)],
     )
-    def test_invalid_qp_or_block_size_rejected(self, plane64, curve64, qp_s, qp_t, block_size):
+    def test_invalid_qp_or_block_size_rejected(self, plane64, qp_s, qp_t, block_size):
         with pytest.raises(ValueError):
-            full_sweep(plane64, qp_s, qp_t, curve64, block_size)
+            full_sweep(plane64, qp_s, qp_t, block_size)
 
 
 class TestInterp:
@@ -123,15 +126,21 @@ class TestInterp:
         # rate 2 is the log2 midpoint of [1, 4], so PSNR lands halfway.
         assert interp_psnr_at_rate(_two_point_curve(), 2.0) == 15.0
 
-    def test_out_of_span_raises(self):
+    def test_out_of_span_returns_none(self):
         curve = _two_point_curve()
         for rate in (0.5, 4.5):
-            with pytest.raises(RateOutOfSpanError):
-                interp_psnr_at_rate(curve, rate)
+            assert interp_psnr_at_rate(curve, rate) is None
+
+    def test_zero_rate_segment_returns_none(self):
+        # log2 is undefined between a zero-rate point and the next one; the
+        # zero-rate point itself still short-circuits to its PSNR.
+        points = (RDPoint(qp=51, rate=0.0, psnr=10.0), RDPoint(qp=40, rate=1.0, psnr=20.0))
+        curve = RDCurve(samples=points, points=points)
+        assert interp_psnr_at_rate(curve, 0.5) is None
+        assert interp_psnr_at_rate(curve, 0.0) == 10.0
 
     def test_interp_on_real_curve_is_monotone(self, curve64):
-        lo, hi = curve64.rate_span
-        rates = np.linspace(lo, hi, 37)
+        rates = np.linspace(curve64.points[0].rate, curve64.points[-1].rate, 37)
         values = [interp_psnr_at_rate(curve64, float(r)) for r in rates]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -145,6 +154,7 @@ class TestTranscodeRecords:
         for r in sweep64:
             assert r.ratio == pytest.approx(r.target_rate / r.source_rate, rel=1e-12)
             assert r.delta_psnr == pytest.approx(r.psnr_t - r.psnr_c, abs=1e-12)
+            assert type(r.psnr_r) is type(r.psnr_t) is type(r.psnr_c) is float
 
     def test_cascade_never_beats_direct_or_source(self, sweep64):
         for r in sweep64:
@@ -158,8 +168,7 @@ class TestTranscodeRecords:
 
     def test_constant_plane_flags_undefined_ratio(self):
         plane = np.full((32, 32), 128, dtype=np.uint8)
-        curve = build_rd_curve(plane, qps=[20, 30])
-        [rec] = full_sweep(plane, [30], [30], curve)
+        [rec] = full_sweep(plane, [30], [30])
         assert rec.flag == UNDEFINED_RATIO
         assert rec.source_rate == 0.0
         assert rec.ratio is None
@@ -167,10 +176,19 @@ class TestTranscodeRecords:
 
     def test_smooth_content_survives_repeated_qp0(self):
         plane = synth_content(ContentSpec(seed=5, complexity=0.0, width=128, height=128))
-        [rec] = full_sweep(plane, [0], [0], build_rd_curve(plane))
+        [rec] = full_sweep(plane, [0], [0])
         assert rec.flag is None
         assert rec.delta_psnr < 0.0
         assert abs(rec.delta_psnr) < 2.0
+
+    def test_target_below_curve_flags_rate_out_of_span(self, plane64):
+        # The transcode at qp_t 51 spends less than the direct encode at qp 51.
+        [rec] = full_sweep(plane64, [28], [51])
+        assert rec.flag == RATE_OUT_OF_SPAN
+        assert rec.ratio == rec.target_rate / rec.source_rate
+        assert rec.psnr_c is None
+        assert rec.delta_psnr is None
+        assert aggregate_by_ratio([rec]) == ()
 
 
 class TestRatioStructure:
@@ -188,8 +206,8 @@ class TestRatioStructure:
         assert total == 7 * 12
         assert violations / total <= 0.10
 
-    def test_ratio_strictly_decreasing_per_qp_step_of_six(self, plane64, curve64):
-        records = full_sweep(plane64, [24, 28], range(52), curve64)
+    def test_ratio_strictly_decreasing_per_qp_step_of_six(self, plane64):
+        records = full_sweep(plane64, [24, 28], range(52))
         by_pair = {(r.qp_s, r.qp_t): r for r in records}
         total = violations = 0
         for qp_s in (24, 28):
@@ -216,23 +234,23 @@ class TestRatioStructure:
 
 class TestAggregate:
     def test_counts_cover_all_unflagged(self, sweep64):
-        profile = aggregate_by_ratio(sweep64, bin_width=0.05)
+        bins = aggregate_by_ratio(sweep64, bin_width=0.05)
         kept = [r for r in sweep64 if r.flag is None]
-        assert sum(b.count for b in profile.bins) == len(kept)
+        assert sum(b.count for b in bins) == len(kept)
 
     def test_bins_are_contiguous_from_zero(self, sweep64):
-        profile = aggregate_by_ratio(sweep64, bin_width=0.05)
-        assert profile.bins[0].ratio_lo == 0.0
-        for a, b in zip(profile.bins, profile.bins[1:]):
+        bins = aggregate_by_ratio(sweep64, bin_width=0.05)
+        assert bins[0].ratio_lo == 0.0
+        for a, b in zip(bins, bins[1:]):
             assert a.ratio_hi == b.ratio_lo
-        for b in profile.bins:
+        for b in bins:
             assert b.ratio_hi - b.ratio_lo == pytest.approx(0.05, abs=1e-12)
             assert (b.mean_delta_psnr is None) == (b.count == 0)
 
     def test_single_record_occupies_one_bin(self, sweep64):
         rec = sweep64[0]
-        profile = aggregate_by_ratio([rec], bin_width=0.05)
-        occupied = [b for b in profile.bins if b.count]
+        bins = aggregate_by_ratio([rec], bin_width=0.05)
+        occupied = [b for b in bins if b.count]
         assert len(occupied) == 1
         assert occupied[0].count == 1
         assert occupied[0].mean_delta_psnr == rec.delta_psnr
@@ -242,8 +260,8 @@ class TestAggregate:
         base = aggregate_by_ratio(sweep64, bin_width=0.05)
         shuffled = random.Random(0).sample(list(sweep64), len(sweep64))
         other = aggregate_by_ratio(shuffled, bin_width=0.05)
-        assert len(base.bins) == len(other.bins)
-        for a, b in zip(base.bins, other.bins):
+        assert len(base) == len(other)
+        for a, b in zip(base, other):
             assert a.count == b.count
             if a.count:
                 assert a.mean_delta_psnr == pytest.approx(b.mean_delta_psnr, abs=1e-9)
@@ -263,17 +281,16 @@ class TestAggregate:
             )
 
         at_cap = aggregate_by_ratio([record(0.5), record(MAX_RATIO_BINS - 0.5)], bin_width=1.0)
-        assert len(at_cap.bins) == MAX_RATIO_BINS
+        assert len(at_cap) == MAX_RATIO_BINS
         with pytest.raises(ValueError, match="limit"):
             aggregate_by_ratio([record(0.5), record(MAX_RATIO_BINS + 0.5)], bin_width=1.0)
 
     def test_flagged_records_are_excluded(self, sweep64):
         plane = np.full((32, 32), 128, dtype=np.uint8)
-        curve = build_rd_curve(plane, qps=[20, 30])
-        [flagged] = full_sweep(plane, [30], [30], curve)
+        [flagged] = full_sweep(plane, [30], [30])
         base = aggregate_by_ratio(sweep64)
         withf = aggregate_by_ratio(list(sweep64) + [flagged])
-        assert sum(b.count for b in base.bins) == sum(b.count for b in withf.bins)
+        assert sum(b.count for b in base) == sum(b.count for b in withf)
 
 
 class TestLocalMinimum:
@@ -288,7 +305,6 @@ class TestLocalMinimum:
 
     def test_auto_skips_flagged_center(self):
         plane = np.full((32, 32), 128, dtype=np.uint8)
-        curve = build_rd_curve(plane, qps=[20, 30])
-        records = full_sweep(plane, [28], range(26, 31), curve)
+        records = full_sweep(plane, [28], range(26, 31))
         assert all(r.flag == UNDEFINED_RATIO for r in records)
         assert local_minimum_report(records) == []

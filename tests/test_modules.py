@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cpdtlab
-from cpdtlab.cpdt import build_rd_curve, full_sweep
+from cpdtlab.cpdt import full_sweep
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -43,7 +43,7 @@ def test_sweep_runs_through_the_traced_layers(tracer):
     spans = tracer.Tracer()
     spans.install()
     try:
-        full_sweep(plane, [30], [30], build_rd_curve(plane, qps=[20, 30, 40]))
+        full_sweep(plane, [30], [30])
     finally:
         spans.uninstall()
     seen = {span[0] for span in spans.spans}
