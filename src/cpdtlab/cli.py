@@ -38,6 +38,7 @@ from .requant import (
     MEAN_ABS,
     METRICS,
     CoefficientDomain,
+    _step_float,
     boundary_overlap,
     error_surface,
     sweep_qstep_t,
@@ -96,8 +97,10 @@ def _checked_arg(text: str, build: Callable[[], object]) -> _Arg:
 
 
 def _rational_arg(text: str) -> _Arg:
-    """A quantizer step."""
-    return _checked_arg(text, lambda: Quantizer(_fraction_from_text(text)).step)
+    """A quantizer step, judged by Quantizer's rule and requant's double range."""
+    step = _fraction_from_text(text)
+    _checked_arg(text, lambda: _step_float(Quantizer(step).step))
+    return _Arg(text, step)
 
 
 def _offset_arg(text: str) -> _Arg:
@@ -140,9 +143,9 @@ def _parse_range(text: str) -> list[Fraction]:
 
 
 def _range_arg(text: str) -> _Arg:
-    """A quantizer step or lo:hi:step range of them."""
+    """A quantizer step or lo:hi:step range of them, judged at both ends."""
     steps = _parse_range(text)
-    _checked_arg(text, lambda: Quantizer(steps[0]))  # lo, the smallest step
+    _checked_arg(text, lambda: [_step_float(Quantizer(s).step) for s in (steps[0], steps[-1])])
     return _Arg(text, steps)
 
 
@@ -402,10 +405,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Requantization error analysis and cascaded transcoding experiments.",
     )
     parser.add_argument("--version", action="version", version=f"cpdtlab {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     requant = sub.add_parser("requant", help="requantization error analysis")
-    rsub = requant.add_subparsers(dest="subcommand", metavar="subcommand")
+    rsub = requant.add_subparsers(dest="subcommand", metavar="subcommand", required=True)
 
     sweep = rsub.add_parser("sweep", help="error ratio along a target-step range")
     sweep.add_argument("--qstep-s", type=_rational_arg, required=True,
@@ -484,12 +487,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.spec = _content_spec(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    handler = getattr(args, "handler", None)
-    if handler is None:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
-        _write_outputs(handler(args))
+        _write_outputs(args.handler(args))
     except Exception as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

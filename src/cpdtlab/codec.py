@@ -112,8 +112,8 @@ class ContentSpec:
 
 def _check_plane(plane: np.ndarray, name: str = "plane") -> np.ndarray:
     plane = np.asarray(plane)
-    if plane.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {plane.shape}")
+    if plane.ndim != 2 or plane.size == 0:
+        raise ValueError(f"{name} must be 2-D with at least one sample, got shape {plane.shape}")
     if plane.dtype != np.uint8:
         raise TypeError(f"{name} must be uint8, got {plane.dtype}")
     return plane

@@ -140,18 +140,12 @@ def build_rd_curve(
         RDPoint(qp, rate, db)
         for qp, (rate, db) in zip(qps, _Scorer(plane, block_size).score(coeff, qps))
     ]
-    by_rate: dict[float, RDPoint] = {}
-    for pt in samples:
-        cur = by_rate.get(pt.rate)
-        if cur is None or pt.psnr > cur.psnr:
-            by_rate[pt.rate] = pt
-    cleaned = []
-    best = -math.inf
-    for rate in sorted(by_rate):
-        pt = by_rate[rate]
-        if pt.psnr > best:
+    # By rate, best PSNR first (a stable sort: ties keep the lowest qp); a
+    # point is kept when its PSNR beats the last point kept.
+    cleaned: list[RDPoint] = []
+    for pt in sorted(samples, key=lambda p: (p.rate, -p.psnr)):
+        if not cleaned or pt.psnr > cleaned[-1].psnr:
             cleaned.append(pt)
-            best = pt.psnr
     return RDCurve(samples=tuple(samples), points=tuple(cleaned))
 
 

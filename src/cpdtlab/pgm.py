@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
+
+from .codec import _check_plane
 
 __all__ = ["read_pgm", "encode_pgm"]
 
@@ -12,32 +15,9 @@ __all__ = ["read_pgm", "encode_pgm"]
 # fit in the first read.
 _READ_BYTES = 1 << 16
 
-
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """First `count` whitespace-separated header tokens, skipping # comments.
-
-    Returns the tokens and the offset of the raster (one whitespace byte
-    after the last token, per the format).
-    """
-    tokens: list[bytes] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] not in (10, 13):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace() and data[i] != ord("#"):
-            i += 1
-        if i == start:
-            raise ValueError("truncated PGM header")
-        tokens.append(data[start:i])
-    if i >= n or not data[i : i + 1].isspace():
-        raise ValueError("malformed PGM header: missing raster separator")
-    return tokens, i + 1
+# Width, height and maxval are decimal digits after whitespace or comments; a
+# comment runs from '#' to a line break, so every header has one parse.
+_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -52,8 +32,11 @@ def read_pgm(path: str) -> np.ndarray:
         # The magic is the first header token: whitespace, '#' or nothing follows it.
         if head[:2] != b"P5" or head[2:3] not in b" \t\n\r\v\f#":
             raise ValueError(f"not a binary PGM (P5) file: magic {head[:2]!r}")
-        tokens, offset = _read_header_tokens(head, 4)
-        width, height, maxval = (int(t) for t in tokens[1:])
+        header = _HEADER.match(head)
+        if header is None:
+            raise ValueError("malformed or truncated PGM header")
+        width, height, maxval = map(int, header.groups())
+        offset = header.end()
         if maxval != 255:
             raise ValueError(f"unsupported maxval {maxval}; only 8-bit (255) PGM is handled")
         if width <= 0 or height <= 0:
@@ -74,11 +57,7 @@ def read_pgm(path: str) -> np.ndarray:
 
 def encode_pgm(plane: np.ndarray) -> bytes:
     """Serialize a (height, width) uint8 array as binary PGM with maxval 255."""
-    plane = np.asarray(plane)
-    if plane.ndim != 2:
-        raise ValueError(f"plane must be 2-D, got shape {plane.shape}")
-    if plane.dtype != np.uint8:
-        raise TypeError(f"plane must be uint8, got {plane.dtype}")
+    plane = _check_plane(plane)
     height, width = plane.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     return header + np.ascontiguousarray(plane).tobytes()

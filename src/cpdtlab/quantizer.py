@@ -73,17 +73,10 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     Floats are interpreted by their shortest decimal representation, so 2.5
     means exactly 5/2 and 0.1 means exactly 1/10 (what the caller typed, not
-    the binary expansion).
+    the binary expansion).  A numpy integer goes by its text too, so no int64
+    numerator can wrap in the exact arithmetic.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+    return Fraction(str(value) if isinstance(value, (float, np.integer)) else value)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,16 @@ def _require_metric(metric: str) -> None:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
 
 
+def _step_float(step: Fraction) -> float:
+    """A step as the reports print it; ValueError if its double overflows or rounds to 0."""
+    try:
+        if float(step):
+            return float(step)
+    except OverflowError:
+        pass
+    raise ValueError("step lies outside the range of a double (4.9e-324 to 1.8e308)")
+
+
 def _metric_fraction(err_num: np.ndarray, den: int, metric: str) -> Fraction:
     """Exact metric value; for rms this is the mean-square (pre-sqrt)."""
     n = err_num.size
@@ -210,8 +220,8 @@ def error_ratio(
     else:
         ratio, flag = _metric_float(frac_b / frac_a, metric), None
     return RequantPoint(
-        qstep_s=float(q_s.step),
-        qstep_t=float(q_t.step),
+        qstep_s=_step_float(q_s.step),
+        qstep_t=_step_float(q_t.step),
         e_a=_metric_float(frac_a, metric),
         e_b=_metric_float(frac_b, metric),
         ratio=ratio,
@@ -324,8 +334,8 @@ def boundary_overlap(
     e_a, e_b, den = pointwise_errors(q_s, q_t, domain)
     extra = Fraction(int(e_b.max()) - int(e_a.max()), den)
     return OverlapReport(
-        qstep_s=float(q_s.step),
-        qstep_t=float(q_t.step),
+        qstep_s=_step_float(q_s.step),
+        qstep_t=_step_float(q_t.step),
         offset=float(q_s.offset),
         aligned_fraction=float(frac_aligned),
         split_bin_period=_split_bin_description(ratio, q_s.offset, k0),

@@ -124,7 +124,10 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith("cpdtlab ")
 
     def test_bare_invocation_is_usage_error(self, capsys):
-        assert main([]) == 1
+        # A missing command or subcommand is argparse's own usage error.
+        for argv in ([], ["requant"]):
+            assert main(argv) == 1
+            assert "the following arguments are required" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["--no-such-flag"]) == 1
@@ -247,6 +250,26 @@ class TestInputBounds:
         assert code == 1
         err = capsys.readouterr().err
         assert "argument --qstep-" in err and "must be positive" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "subcommand, qstep_s, qstep_t",
+        [
+            ("sweep", "1e400", "12"),
+            ("sweep", "12", "1e-400"),
+            ("surface", "12", "1:1e400:1e399"),
+            ("surface", "1e-400:1:1", "12"),
+            ("overlap", "1e400", "12"),
+        ],
+    )
+    def test_step_outside_double_range_is_usage_error(self, subcommand, qstep_s, qstep_t,
+                                                     tmp_path, capsys):
+        # The reports print steps as doubles: one that overflows or rounds to 0
+        # is refused while parsing, not after the whole domain has run.
+        code = main(["requant", subcommand, f"--qstep-s={qstep_s}", f"--qstep-t={qstep_t}",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "outside the range of a double" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_bin_count_cap_is_runtime_error(self, tmp_path, capsys):

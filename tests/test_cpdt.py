@@ -27,7 +27,9 @@ from cpdtlab.cpdt import (
     interp_psnr_at_rate,
     local_minimum_report,
 )
+from cpdtlab.pgm import encode_pgm
 from cpdtlab.requant import UNDEFINED_RATIO
+from cpdtlab.transform import TRANSFORM_SIZES
 
 
 def _two_point_curve() -> RDCurve:
@@ -63,10 +65,33 @@ class TestRDCurve:
         curve = build_rd_curve(plane64, qps=[30, 30, 20])
         assert [s.qp for s in curve.samples] == [20, 30]
 
+    @pytest.mark.parametrize("block_size", TRANSFORM_SIZES)
+    def test_equal_rates_keep_the_lowest_qp_of_the_best_psnr(self, block_size):
+        # Every qp codes a constant plane at one rate, and most decode it
+        # losslessly (the 99.99 dB cap): the curve is the qp-0 sample alone.
+        curve = build_rd_curve(np.full((16, 16), 200, np.uint8), block_size=block_size)
+        assert len({s.rate for s in curve.samples}) == 1
+        assert curve.points == (curve.samples[0],)
+        assert curve.samples[0].qp == 0
+
     @pytest.mark.parametrize("qps, block_size", [([30, 52], 8), ([-1, 30], 8), ([30], 16)])
     def test_invalid_qp_or_block_size_rejected(self, plane64, qps, block_size):
         with pytest.raises(ValueError):
             build_rd_curve(plane64, qps=qps, block_size=block_size)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [build_rd_curve, lambda p: full_sweep(p, [30], [30]), lambda p: psnr(p, p), encode_pgm],
+    ids=["build_rd_curve", "full_sweep", "psnr", "encode_pgm"],
+)
+def test_empty_plane_is_bad_input(entry):
+    # The codec's plane rule refuses a plane with no samples at every entry
+    # point, so none fails inside numpy and the PGM writer refuses what the
+    # reader would.
+    for shape in ((0, 5), (5, 0)):
+        with pytest.raises(ValueError, match="at least one sample"):
+            entry(np.zeros(shape, np.uint8))
 
 
 def _odd_plane():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -89,6 +90,30 @@ class TestRead:
     def test_rejects_truncated_header(self, tmp_path):
         with pytest.raises(ValueError):
             read_pgm(self._write(tmp_path, b"P5\n4"))
+
+    @pytest.mark.parametrize("header", [b"P5\n+2 2\n255\n", b"P5\n1_0 1\n255\n",
+                                        b"P5\n2 2\n0xff\n", b"P5\n2 2\n255#\n"])
+    def test_header_numbers_are_decimal_digits(self, tmp_path, header):
+        # int() would read "+2" as 2 and "1_0" as 10; the format has digits only,
+        # and one whitespace byte, not a comment, before the raster.
+        data = header + bytes(10)
+        with pytest.raises(ValueError, match="^malformed or truncated PGM header$"):
+            read_pgm(self._write(tmp_path, data))
+
+    def test_comment_runs_to_a_line_break(self, tmp_path):
+        data = b"P5\r\n# a # b\r\n2#c\r\n 2\r\n##\r\n255\n" + bytes([1, 2, 3, 4])
+        back = read_pgm(self._write(tmp_path, data))
+        assert back.tolist() == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize("filler", [b"#", b"#\n", b"#\r\n", b" "])
+    def test_header_without_digits_fails_fast(self, tmp_path, filler):
+        # 64 KiB of comment or whitespace with no number in it: the header
+        # pattern fails in time linear in the bytes it was given.
+        data = b"P5" + filler * ((1 << 16) // len(filler))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="truncated PGM header$"):
+            read_pgm(self._write(tmp_path, data))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBoundedRead:

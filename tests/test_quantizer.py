@@ -224,6 +224,12 @@ class TestAsFraction:
         assert as_fraction("27.6") == Fraction(138, 5)
         assert as_fraction(12) == Fraction(12)
 
+    def test_numpy_integers_stay_exact(self):
+        # A numpy integer becomes a Python-int numerator, which cannot wrap.
+        step = as_fraction(np.int64(1 << 62))
+        assert type(step.numerator) is int
+        assert step * 4 == 1 << 64
+
     def test_rejects_junk(self):
         with pytest.raises(TypeError):
             as_fraction(None)
