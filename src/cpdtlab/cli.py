@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import secrets
 import sys
 from dataclasses import dataclass
@@ -80,7 +81,22 @@ class _Arg:
         return self.raw
 
 
+# A nonzero number whose decimal exponent exceeds this plus the length of its
+# text in size lies outside the range of a double (4.9e-324 to 1.8e308).
+_DOUBLE_EXPONENT = 324
+
+
 def _fraction_from_text(text: str) -> Fraction:
+    """A rational argument.  Fraction builds 10**exponent whole, so a decimal
+    exponent past a double's range is refused first."""
+    exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0") or "0"
+        limit = _DOUBLE_EXPONENT + len(text)
+        if len(digits) > len(str(limit)) or int(digits) > limit:
+            raise argparse.ArgumentTypeError(
+                f"the exponent of {text!r} is outside the range of a double"
+            )
     try:
         return as_fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -137,7 +153,7 @@ def _parse_range(text: str) -> list[Fraction]:
     count = int((hi - lo) / step) + 1
     if count > MAX_RANGE_VALUES:
         raise argparse.ArgumentTypeError(
-            f"range {text!r} has {count} values; the limit is {MAX_RANGE_VALUES}"
+            f"range {text!r} has more than the limit of {MAX_RANGE_VALUES} values"
         )
     return [lo + k * step for k in range(count)]
 

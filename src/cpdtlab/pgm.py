@@ -16,8 +16,10 @@ __all__ = ["read_pgm", "encode_pgm"]
 _READ_BYTES = 1 << 16
 
 # Width, height and maxval are decimal digits after whitespace or comments; a
-# comment runs from '#' to a line break, so every header has one parse.
-_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
+# comment runs from '#' to a line break, so every header has one parse.  A
+# number of more than 20 digits is malformed: no plane is that large, and
+# int() refuses text past 4300 digits with a message about the interpreter.
+_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d{1,20})" * 3 + rb"\s")
 
 
 def read_pgm(path: str) -> np.ndarray:

@@ -151,6 +151,25 @@ class Quantizer:
             levels = levels - (t_num % full_den == 0)
         return np.where(num < 0, -levels, levels)
 
+    def run_starts(self, levels: np.ndarray) -> np.ndarray:
+        """Least magnitude |x| whose level magnitude is at least j, for each j >= 1.
+
+        The law's inverse: the level reaches j where |x| >= (j - f)*step, or
+        strictly past that point under a toward-zero tie with f > 0.  Exact
+        like quantize_scaled, and int64 where _exact_ints allows.
+
+        (j - f)*step = (j*oq - op)*sp / (oq*sq)
+        """
+        sp, sq = self.step.numerator, self.step.denominator
+        op, oq = self.offset.numerator, self.offset.denominator
+        num_mul = oq * sp
+        num_sub = op * sp
+        full_den = oq * sq
+        t_num = _exact_ints(levels, num_mul, num_sub + full_den) * num_mul - num_sub
+        if self.offset > 0 and self.tie_break == TOWARD_ZERO:
+            return t_num // full_den + 1
+        return -(-t_num // full_den)
+
 
 def qp_to_qstep(qp: int) -> float:
     """HEVC-style step size for a quantization parameter: 2**((qp-4)/6).

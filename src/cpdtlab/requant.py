@@ -7,10 +7,12 @@ reconstructing, and requantizing the reconstruction with the target step:
     E_a = metric of |x - deq_t(quant_t(x))|                    (direct)
     E_b = metric of |x - deq_t(quant_t(deq_s(quant_s(x))))|    (two-stage)
 
-Every value in the coefficient domain is evaluated (no sampling), and all
+Every value in the coefficient domain counts (no sampling), and all
 arithmetic is exact integer/rational, so structural identities such as
 "E_b/E_a == 1 when the target step is an integer multiple of the source step
-at offset 0" hold with zero tolerance.
+at offset 0" hold with zero tolerance.  The error sums come in closed form per
+run of equal quantizer level, so their cost follows the number of runs, not
+the number of values.
 """
 
 from __future__ import annotations
@@ -148,41 +150,36 @@ def _step_float(step: Fraction) -> float:
     raise ValueError("step lies outside the range of a double (4.9e-324 to 1.8e308)")
 
 
-def _metric_fraction(err_num: np.ndarray, den: int, metric: str) -> Fraction:
-    """Exact metric value; for rms this is the mean-square (pre-sqrt)."""
-    n = err_num.size
-    power = 1 if metric == MEAN_ABS else 2
-    err = _exact_ints(err_num, n, power=power)
-    return Fraction(int((err if power == 1 else err * err).sum()), n * den**power)
-
-
 def _metric_float(frac: Fraction, metric: str) -> float:
-    """A _metric_fraction value (or a ratio of two) as reported: rms takes the root."""
+    """An exact metric value (or a ratio of two) as reported: rms takes the root
+    of the mean square."""
     return math.sqrt(float(frac)) if metric == RMS else float(frac)
 
 
-def _error_numerators(
-    x: np.ndarray, levels: np.ndarray, step: Fraction
-) -> tuple[np.ndarray, int]:
-    """Exact |x - levels*step| for integer x, as (numerators, shared_den).
+def _error_numerators(x: np.ndarray, levels: np.ndarray, step: Fraction) -> np.ndarray:
+    """Exact signed x*q - levels*p for integer x and step = p/q: the error
+    x - levels*step times q, an integer, so sums of errors stay exact.
 
-    With step = p/q the error is |x*q - levels*p| / q; integer numerators keep
-    downstream sums exact.  _exact_ints keeps each int64 product below 2^62,
-    so the difference of two of them fits in int64 too.
+    _exact_ints keeps each int64 product below 2^62, so the difference of two
+    of them fits in int64 too.
     """
     p, q = step.numerator, step.denominator
-    return np.abs(_exact_ints(x, q) * q - _exact_ints(levels, p) * p), q
+    return _exact_ints(x, q) * q - _exact_ints(levels, p) * p
 
 
-def _chain_levels(q_s: Quantizer, q_t: Quantizer, x: np.ndarray) -> np.ndarray:
-    """Target levels of the quantize-dequantize-requantize chain.
+def _requantizer(q_s: Quantizer, q_t: Quantizer) -> Quantizer:
+    """The chain's second stage, as a quantizer of source levels.
 
     Requantizing the reconstruction level*s with step t is quantizing the
     level with step t/s: |level*s|/t = |level|/(t/s), so the tie test is the
     same too.
     """
-    q_ts = Quantizer(q_t.step / q_s.step, q_t.offset, q_t.tie_break)
-    return q_ts.quantize_scaled(q_s.quantize_scaled(x))
+    return Quantizer(q_t.step / q_s.step, q_t.offset, q_t.tie_break)
+
+
+def _chain_levels(q_s: Quantizer, q_t: Quantizer, x: np.ndarray) -> np.ndarray:
+    """Target levels of the quantize-dequantize-requantize chain."""
+    return _requantizer(q_s, q_t).quantize_scaled(q_s.quantize_scaled(x))
 
 
 def pointwise_errors(
@@ -193,11 +190,106 @@ def pointwise_errors(
     """(direct, two-stage) error numerators over the domain plus shared denominator.
 
     Exact integer numerators; err/den gives the absolute error of each value.
+    One value at a time, where error_ratio goes by level runs: the reference
+    the run sums are checked against.
     """
     x = domain.values()
-    e_a, den = _error_numerators(x, q_t.quantize_scaled(x), q_t.step)
-    e_b, _ = _error_numerators(x, _chain_levels(q_s, q_t, x), q_t.step)
-    return e_a, e_b, den
+    e_a = np.abs(_error_numerators(x, q_t.quantize_scaled(x), q_t.step))
+    e_b = np.abs(_error_numerators(x, _chain_levels(q_s, q_t, x), q_t.step))
+    return e_a, e_b, q_t.step.denominator
+
+
+def _level_runs(q: Quantizer, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, levels) of the runs of equal q level over the magnitudes a..b,
+    0 <= a <= b.
+
+    With fewer levels than magnitudes the step is at least 1, so every level
+    from level(a) to level(b) has a run, which starts where run_starts puts
+    it.  Otherwise every magnitude is a run.  Starts lie in a..b, so they are
+    int64 even where run_starts forms Python ints.
+    """
+    first, last = q.quantize_scaled(np.array([a, b])).tolist()
+    if last - first >= b - a:
+        mags = np.arange(a, b + 1, dtype=np.int64)
+        return mags, q.quantize_scaled(mags)
+    levels = np.arange(first, last + 1, dtype=np.int64)
+    starts = np.empty_like(levels)
+    starts[0] = a
+    starts[1:] = q.run_starts(levels[1:])
+    return starts, levels
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """One chain's errors over a domain, by runs of equal target level k.
+
+    Along run i the signed error numerator m*q - k*p (magnitude m, target
+    step p/q) rises by q per magnitude, from ends[0][i] to ends[1][i] over
+    n[i] magnitudes, so its sums have closed forms.  The runs cover `size`
+    magnitudes; the first `twice` runs are those that x takes with both signs.
+    """
+
+    ends: np.ndarray
+    n: np.ndarray
+    q: int
+    size: int
+    twice: int
+
+    @classmethod
+    def over(
+        cls, starts: np.ndarray, levels: np.ndarray, b: int, near: int, step: Fraction
+    ) -> "_Runs":
+        """Runs from their starts and levels, over magnitudes up to b, where
+        those up to `near` count twice."""
+        twice = int(np.searchsorted(starts, near, side="right"))
+        if 0 < twice and near < b and (twice == starts.size or starts[twice] > near + 1):
+            # Split the run that holds both near and near + 1.
+            starts = np.insert(starts, twice, near + 1)
+            levels = np.insert(levels, twice, levels[twice - 1])
+        last = np.append(starts[1:] - 1, b)
+        ends = _error_numerators(np.stack([starts, last]), levels, step)
+        return cls(ends, last - starts + 1, step.denominator, b - int(starts[0]) + 1, twice)
+
+    def error_sum(self, power: int) -> int:
+        """Exact sum over the domain of |m*q - k*p|**power, for power 1 or 2."""
+        # With M = max|ends|, every term below stays within 10*n*M**power on
+        # a run of n magnitudes: q*(n - 1) = v - u is at most 2*M.
+        u, v = _exact_ints(self.ends, 10 * self.size, power=power)
+        n, q = self.n, self.q
+        if power == 1:
+            # The n terms u, u + q, ..., v sum to n*(u + v)/2, and the first c
+            # of them, those at most 0, to c*(2*u + q*(c - 1))/2; the sum of
+            # |e| takes the latter with the other sign.
+            c = np.clip(-u // q + 1, 0, n)
+            per_run, scale = n * (u + v) - 2 * c * (2 * u + q * np.maximum(c - 1, 0)), 2
+        else:
+            # Their squares sum to n*(2*(u^2 + u*v + v^2) + q*(v - u))/6.
+            per_run, scale = n * (2 * (u * u + u * v + v * v) + q * (v - u)), 6
+        return (int(per_run.sum()) + int(per_run[: self.twice].sum())) // scale
+
+    def max_error(self) -> int:
+        """Largest |m*q - k*p| over the domain: a linear error peaks at a run end."""
+        return int(np.abs(self.ends).max())
+
+
+def _runs(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tuple[_Runs, _Runs]:
+    """(direct, two-stage) error runs over the domain.
+
+    Both quantizers are odd, so an error depends only on |x|: the domain is
+    the magnitudes a..b, and those up to `near` count twice, once per sign of
+    x.  Zero's error is 0 on both chains, so its count never matters.  The
+    second stage quantizes only the distinct source levels, and source runs
+    with equal target levels merge.
+    """
+    lo, hi = domain.lo, domain.hi
+    a, b, near = max(lo, -hi, 0), max(-lo, hi), min(-lo, hi)
+    starts, levels = _level_runs(q_s, a, b)
+    levels = _requantizer(q_s, q_t).quantize_scaled(levels)
+    new = np.concatenate(([True], levels[1:] != levels[:-1]))
+    return (
+        _Runs.over(*_level_runs(q_t, a, b), b, near, q_t.step),
+        _Runs.over(starts[new], levels[new], b, near, q_t.step),
+    )
 
 
 def error_ratio(
@@ -210,11 +302,12 @@ def error_ratio(
 
     The ratio is computed from the exact rational error values, so structural
     equalities (e.g. integer-multiple steps at offset 0) yield exactly 1.0.
+    The cost follows the number of level runs, not the domain size.
     """
     _require_metric(metric)
-    e_a_num, e_b_num, den = pointwise_errors(q_s, q_t, domain)
-    frac_a = _metric_fraction(e_a_num, den, metric)
-    frac_b = _metric_fraction(e_b_num, den, metric)
+    power = 1 if metric == MEAN_ABS else 2
+    den = domain.size * q_t.step.denominator**power
+    frac_a, frac_b = (Fraction(r.error_sum(power), den) for r in _runs(q_s, q_t, domain))
     if frac_a == 0:
         ratio, flag = None, UNDEFINED_RATIO
     else:
@@ -331,8 +424,8 @@ def boundary_overlap(
     ratio = q_t.step / q_s.step
     k0 = _aligned_residue(ratio, q_s.offset)
     frac_aligned = _aligned_fraction(q_t, ratio.denominator, k0, domain)
-    e_a, e_b, den = pointwise_errors(q_s, q_t, domain)
-    extra = Fraction(int(e_b.max()) - int(e_a.max()), den)
+    direct, chain = _runs(q_s, q_t, domain)
+    extra = Fraction(chain.max_error() - direct.max_error(), q_t.step.denominator)
     return OverlapReport(
         qstep_s=_step_float(q_s.step),
         qstep_t=_step_float(q_t.step),

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, exit codes, CSV layout, determinism."""
 
 import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -271,6 +272,42 @@ class TestInputBounds:
         assert code == 1
         assert "outside the range of a double" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "text, number",
+        [
+            ("1e10000000", "1e10000000"),
+            ("2.5E-3_000_000", "2.5E-3_000_000"),
+            ("1e-1000000", "1e-1000000"),
+            ("1:1e1000000:1", "1e1000000"),
+        ],
+    )
+    def test_huge_exponent_is_refused_before_it_is_built(self, text, number):
+        # Fraction would build the whole power of ten first: 13.8 s for 1e10000000.
+        start = time.perf_counter()
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            _parse_range(text)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == f"the exponent of '{number}' is outside the range of a double"
+
+    def test_huge_exponent_step_is_usage_error(self, tmp_path, capsys):
+        code = main(["requant", "sweep", "--qstep-s", "1e10000000", "--qstep-t", "12",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "the exponent of '1e10000000' is outside" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_exponents_within_a_double_still_parse(self):
+        assert _parse_range("1e300") == [Fraction(10) ** 300]
+        assert _parse_range("5e-324") == [Fraction(5, 10**324)]
+        assert _parse_range("0.000001e-320") == [Fraction(1, 10**326)]
+
+    def test_oversized_range_count_is_short(self):
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            _parse_range("1:1e300:1")
+        assert str(info.value) == (
+            f"range '1:1e300:1' has more than the limit of {MAX_RANGE_VALUES} values"
+        )
 
     def test_bin_count_cap_is_runtime_error(self, tmp_path, capsys):
         pgm = tmp_path / "p.pgm"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cpdtlab
+from cpdtlab.cli import main
 from cpdtlab.pgm import encode_pgm, read_pgm
 
 
@@ -98,6 +99,20 @@ class TestRead:
         # and one whitespace byte, not a comment, before the raster.
         data = header + bytes(10)
         with pytest.raises(ValueError, match="^malformed or truncated PGM header$"):
+            read_pgm(self._write(tmp_path, data))
+
+    @pytest.mark.parametrize("digits", [21, 5000])
+    def test_header_number_past_20_digits_is_malformed(self, tmp_path, capsys, digits):
+        # int() refuses 5000 digits with a message about the interpreter's limit.
+        path = self._write(tmp_path, b"P5\n" + b"9" * digits + b" 1\n255\n" + bytes(4))
+        with pytest.raises(ValueError, match="^malformed or truncated PGM header$"):
+            read_pgm(path)
+        assert main(["rd-curve", "--input", path, "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == "error: malformed or truncated PGM header\n"
+
+    def test_header_number_of_20_digits_is_read(self, tmp_path):
+        data = b"P5\n" + b"9" * 20 + b" 1\n255\n" + bytes(4)
+        with pytest.raises(ValueError, match="^truncated PGM raster$"):
             read_pgm(self._write(tmp_path, data))
 
     def test_comment_runs_to_a_line_break(self, tmp_path):

@@ -22,6 +22,7 @@ from cpdtlab.requant import (
     UNDEFINED_RATIO,
     CoefficientDomain,
     RequantPoint,
+    _runs,
     boundary_overlap,
     convention_audit,
     error_ratio,
@@ -214,6 +215,96 @@ class TestAgainstScalarOracle:
                 for a, b in zip(e_a.tolist(), e_b.tolist())] == _oracle_errors(
             q_s, q_t, domain.lo, domain.hi
         )
+
+
+# Windows anywhere in +-2^19, or against either int64 edge.
+_run_windows = st.one_of(
+    _windows,
+    st.integers(min_value=1, max_value=600).flatmap(lambda size: st.sampled_from([
+        CoefficientDomain(-_I64, -_I64 + size - 1), CoefficientDomain(_I64 - size + 1, _I64)
+    ])),
+)
+
+
+class TestLevelRuns:
+    @given(
+        step_s=extreme_steps, step_t=extreme_steps,
+        offset_s=extreme_offsets, offset_t=extreme_offsets,
+        tie_s=tie_breaks, tie_t=tie_breaks, domain=_run_windows,
+    )
+    @example(step_s=7, step_t=Fraction("12.34567890123456789"), offset_s=Fraction(1, 6),
+             offset_t=Fraction(1, 3), tie_s=AWAY_FROM_ZERO, tie_t=TOWARD_ZERO,
+             domain=CoefficientDomain(-_I64, -_I64 + 599))
+    @example(step_s=Fraction(1, 3), step_t=5, offset_s=Fraction(1, 2), offset_t=Fraction(0),
+             tie_s=TOWARD_ZERO, tie_t=AWAY_FROM_ZERO, domain=CoefficientDomain(-40, 25))
+    @settings(max_examples=300, deadline=None)
+    def test_run_sums_equal_pointwise_sums(
+        self, step_s, step_t, offset_s, offset_t, tie_s, tie_t, domain
+    ):
+        q_s = Quantizer(step_s, offset_s, tie_s)
+        q_t = Quantizer(step_t, offset_t, tie_t)
+        direct, chain = _runs(q_s, q_t, domain)
+        e_a, e_b = (e.tolist() for e in pointwise_errors(q_s, q_t, domain)[:2])
+        for runs, errors in ((direct, e_a), (chain, e_b)):
+            assert runs.error_sum(1) == sum(errors)
+            assert runs.error_sum(2) == sum(e * e for e in errors)
+        assert chain.max_error() - direct.max_error() == max(e_b) - max(e_a)
+
+    @pytest.mark.parametrize(
+        "step, offset, tie_break, starts",
+        [
+            # (j - f)*step is an integer: the tie decides on which side the run starts
+            (10, Fraction(1, 2), AWAY_FROM_ZERO, [5, 15, 25]),
+            (10, Fraction(1, 2), TOWARD_ZERO, [6, 16, 26]),
+            # offset 0: the boundary is a reconstruction, level j from j*step on
+            (10, Fraction(0), TOWARD_ZERO, [10, 20, 30]),
+            (Fraction(5, 2), Fraction(0), AWAY_FROM_ZERO, [3, 5, 8]),
+            (Fraction(9, 4), Fraction(1, 3), TOWARD_ZERO, [2, 4, 7]),
+        ],
+    )
+    def test_run_starts_on_ties(self, step, offset, tie_break, starts):
+        q = Quantizer(step, offset, tie_break)
+        got = q.run_starts(np.array([1, 2, 3]))
+        assert got.tolist() == starts
+        assert q.quantize_scaled(got).tolist() == [1, 2, 3]
+        assert q.quantize_scaled(got - 1).tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("tie_break", [TOWARD_ZERO, AWAY_FROM_ZERO])
+    @pytest.mark.parametrize(
+        "step, offset",
+        [(3, Fraction(0)), (3, Fraction(1, 3)), (Fraction("12.34567890123456789"), Fraction(1, 3)),
+         (Fraction(10**18 + 1, 7), Fraction(1, 2)), (1, Fraction(0))],
+    )
+    def test_run_starts_at_the_domain_edge(self, step, offset, tie_break):
+        # The last levels whose runs start within int64, where the exact
+        # products leave int64 and Python ints carry them.
+        q = Quantizer(step, offset, tie_break)
+        top = int(q.quantize_scaled(np.array([_I64]))[0])
+        levels = np.arange(top - 3, top + 1, dtype=np.int64)
+        starts = np.array(q.run_starts(levels).tolist(), dtype=np.int64)
+        assert q.quantize_scaled(starts).tolist() == levels.tolist()
+        assert q.quantize_scaled(starts - 1).tolist() == (levels - 1).tolist()
+        assert q.quantize_scaled(-starts).tolist() == (-levels).tolist()
+
+    def test_object_path_quantizes_few_values(self, monkeypatch):
+        # Cost follows the runs: about 32768/7 source levels reach the second
+        # stage, against 65536 values one at a time.
+        calls = []
+        quantize_scaled = Quantizer.quantize_scaled
+
+        def spy(self, num):
+            levels = quantize_scaled(self, num)
+            calls.append((np.asarray(num).size, levels.dtype == object))
+            return levels
+
+        monkeypatch.setattr(Quantizer, "quantize_scaled", spy)
+        q_s = Quantizer(7, Fraction(1, 3))
+        q_t = Quantizer("12.34567890123456789", Fraction(1, 3))
+        for metric in METRICS:
+            calls.clear()
+            error_ratio(q_s, q_t, DEFAULT_DOMAIN, metric)
+            assert any(is_object for _, is_object in calls)
+            assert sum(size for size, _ in calls) < DEFAULT_DOMAIN.size // 10
 
 
 class TestDominanceAndTrend:
