@@ -13,12 +13,12 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import secrets
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -33,12 +33,13 @@ from .cpdt import (
     local_minimum_report,
 )
 from .pgm import encode_pgm, read_pgm
-from .quantizer import _TIE_BREAKS, QP_RANGE, TOWARD_ZERO, Quantizer, as_fraction
+from .quantizer import _TIE_BREAKS, QP_RANGE, TOWARD_ZERO, Quantizer, as_fraction, qp_to_qstep
 from .requant import (
     DEFAULT_DOMAIN,
     MEAN_ABS,
     METRICS,
     CoefficientDomain,
+    _BOUND_RULE,
     _step_float,
     boundary_overlap,
     error_surface,
@@ -125,12 +126,12 @@ def _offset_arg(text: str) -> _Arg:
 
 
 def _bin_width_arg(text: str) -> float:
+    """A ratio bin width as aggregate_by_ratio judges it; the float, which the CSV echoes."""
     try:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"bin width must be positive and finite, got {text}")
+    _checked_arg(text, lambda: aggregate_by_ratio((), value))
     return value
 
 
@@ -166,15 +167,12 @@ def _range_arg(text: str) -> _Arg:
 
 
 def _qp_range_arg(text: str) -> _Arg:
-    """A qp value or lo:hi:step range of them, each an integer in QP_RANGE."""
+    """A qp value or lo:hi:step range of them: integers, judged at both ends by qp_to_qstep."""
     values = _parse_range(text)
     if any(v.denominator != 1 for v in values):
         raise argparse.ArgumentTypeError(f"range must contain only integers, got {text!r}")
     qps = [int(v) for v in values]
-    if any(qp not in QP_RANGE for qp in qps):
-        raise argparse.ArgumentTypeError(
-            f"qp must lie in {QP_RANGE.start}..{QP_RANGE.stop - 1}, got {text!r}"
-        )
+    _checked_arg(text, lambda: [qp_to_qstep(qp) for qp in (qps[0], qps[-1])])
     return _Arg(text, qps)
 
 
@@ -188,6 +186,10 @@ def _domain_arg(text: str) -> _Arg:
         raise argparse.ArgumentTypeError(
             f"domain must be lo:hi (use --domain={_FULL_DOMAIN} for a negative lo), got {text!r}"
         )
+    # A bound of more than 20 digits is out of range, and is refused before int()
+    # sees it: int() refuses text past 4300 digits with a message of its own.
+    if any(re.fullmatch(r"\s*[-+]?[0_]*[1-9](?:_?\d){20,}\s*", p) for p in parts):
+        raise argparse.ArgumentTypeError(f"{_BOUND_RULE}: [{parts[0]}, {parts[1]}]")
     return _checked_arg(text, lambda: CoefficientDomain(*map(int, parts)))
 
 
@@ -380,12 +382,20 @@ def _cmd_verify(args: argparse.Namespace) -> dict[Path, bytes]:
     return {}
 
 
+def _print_error(prefix: str, message: str) -> None:
+    """Print `<prefix>error: <message>` to stderr as one line of at most 200
+    characters, each run of more than 20 digits in short form such as 1.0e+308."""
+    short = re.sub(r"[0-9]{21,}", lambda run: f"{Decimal(run[0]):.1e}", message)
+    line = f"{prefix}error: " + " ".join(short.splitlines())
+    print(line if len(line) <= 200 else line[:197] + "...", file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit 1 instead of 2."""
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        _print_error(f"{self.prog}: ", message)
         raise SystemExit(1)
 
 
@@ -506,7 +516,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _write_outputs(args.handler(args))
     except Exception as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        _print_error("", str(exc) or type(exc).__name__)
         return 2
     return 0
 

@@ -25,7 +25,6 @@ from .quantizer import qp_to_qstep
 from .transform import (
     COEFF_MAX,
     COEFF_MIN,
-    TRANSFORM_SIZES,
     _inverse_rows,
     _rows,
     forward_transform,
@@ -152,8 +151,7 @@ def _transform_plane(plane: np.ndarray, block_size: int) -> np.ndarray:
     many qps transforms it once.
     """
     plane = _check_plane(plane)
-    if block_size not in TRANSFORM_SIZES:
-        raise ValueError(f"block_size must be one of {TRANSFORM_SIZES}, got {block_size}")
+    orthonormal_gain(block_size)  # the size check, before _tile divides by it
     return forward_transform(_tile(plane, block_size).astype(np.int16) - _MID_GREY)
 
 

@@ -131,8 +131,8 @@ def build_rd_curve(
     qps: Sequence[int] = QP_RANGE,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> RDCurve:
-    """Encode/decode the plane at each qp and assemble its RD curve."""
-    qps = sorted(set(int(q) for q in qps))
+    """Encode/decode the plane at each qp, as qp_to_qstep judges it, and assemble its RD curve."""
+    qps = sorted(set(qps))
     if not qps:
         raise ValueError("need at least one qp")
     coeff = _transform_plane(plane, block_size)

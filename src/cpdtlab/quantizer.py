@@ -116,15 +116,11 @@ class Quantizer:
     def quantize(self, x: RationalLike) -> int:
         """Map a value to its signed quantization level."""
         xf = as_fraction(x)
-        mag = self._level_magnitude(abs(xf))
+        t = abs(xf) / self.step + self.offset
+        mag = math.floor(t)
+        if t == mag and self.offset > 0 and self.tie_break == TOWARD_ZERO:
+            mag -= 1
         return -mag if xf < 0 else mag
-
-    def _level_magnitude(self, absx: Fraction) -> int:
-        t = absx / self.step + self.offset
-        level = math.floor(t)
-        if t == level and self.offset > 0 and self.tie_break == TOWARD_ZERO:
-            level -= 1
-        return level
 
     def dequantize(self, level: int) -> Fraction:
         """Reconstruction for a level: level * step."""
@@ -186,6 +182,6 @@ def qp_to_qstep(qp: int) -> float:
     if not isinstance(qp, (int, np.integer)):
         raise TypeError(f"qp must be an integer, got {type(qp).__name__}")
     if qp not in QP_RANGE:
-        raise ValueError(f"qp out of range {QP_RANGE.start}..{QP_RANGE.stop - 1}: {qp}")
+        raise ValueError(f"qp must lie in {QP_RANGE.start}..{QP_RANGE.stop - 1}, got {qp}")
     quot, rem = divmod(qp - 4, 6)
     return math.ldexp(2.0 ** (rem / 6.0), quot)

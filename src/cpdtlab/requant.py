@@ -54,6 +54,8 @@ METRICS = (MEAN_ABS, RMS, MSE)
 
 UNDEFINED_RATIO = "undefined_ratio"
 
+_BOUND_RULE = "domain bounds must lie in +-(2**63 - 1)"
+
 # Largest CoefficientDomain: 16 times the 16-bit default, 8 MB per int64 array.
 MAX_DOMAIN_SIZE = 1 << 20
 
@@ -74,7 +76,7 @@ class CoefficientDomain:
         if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
             raise TypeError("domain bounds must be integers")
         if max(abs(self.lo), abs(self.hi)) >= 1 << 63:
-            raise ValueError(f"domain bounds must lie in +-(2**63 - 1): [{self.lo}, {self.hi}]")
+            raise ValueError(f"{_BOUND_RULE}: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"empty domain: [{self.lo}, {self.hi}]")
         if self.size > MAX_DOMAIN_SIZE:
@@ -177,11 +179,6 @@ def _requantizer(q_s: Quantizer, q_t: Quantizer) -> Quantizer:
     return Quantizer(q_t.step / q_s.step, q_t.offset, q_t.tie_break)
 
 
-def _chain_levels(q_s: Quantizer, q_t: Quantizer, x: np.ndarray) -> np.ndarray:
-    """Target levels of the quantize-dequantize-requantize chain."""
-    return _requantizer(q_s, q_t).quantize_scaled(q_s.quantize_scaled(x))
-
-
 def pointwise_errors(
     q_s: Quantizer,
     q_t: Quantizer,
@@ -194,8 +191,9 @@ def pointwise_errors(
     the run sums are checked against.
     """
     x = domain.values()
+    chain = _requantizer(q_s, q_t).quantize_scaled(q_s.quantize_scaled(x))
     e_a = np.abs(_error_numerators(x, q_t.quantize_scaled(x), q_t.step))
-    e_b = np.abs(_error_numerators(x, _chain_levels(q_s, q_t, x), q_t.step))
+    e_b = np.abs(_error_numerators(x, chain, q_t.step))
     return e_a, e_b, q_t.step.denominator
 
 

@@ -49,18 +49,6 @@ __all__ = [
 COEFF_MIN = -32768
 COEFF_MAX = 32767
 
-TRANSFORM_SIZES = (4, 8)
-
-_T4 = np.array(
-    [
-        [64, 64, 64, 64],
-        [83, 36, -36, -83],
-        [64, -64, -64, 64],
-        [36, -83, 83, -36],
-    ],
-    dtype=np.int64,
-)
-
 # Rows follow the even/odd butterfly structure of the 8-point core transform,
 # generated from the constants {64, 83, 36, 89, 75, 50, 18}.
 _A, _B, _C = 64, 83, 36
@@ -79,7 +67,9 @@ _T8 = np.array(
     dtype=np.int64,
 )
 
-_MATRICES = {4: _T4, 8: _T8}
+# HEVC's core matrices nest: the 4-point one is the 8-point one's even rows, left half.
+_MATRICES = {4: _T8[::2, :4], 8: _T8}
+TRANSFORM_SIZES = tuple(_MATRICES)
 # Each matrix and its transpose as contiguous float64, the GEMM operands.
 _FLOAT_MATRICES = {
     n: (t.astype(np.float64), t.T.astype(np.float64, order="C")) for n, t in _MATRICES.items()
@@ -147,9 +137,7 @@ def _check_block(block: np.ndarray, name: str) -> np.ndarray:
     block = np.asarray(block)
     if block.ndim < 2 or block.shape[-1] != block.shape[-2]:
         raise ValueError(f"{name} must be (..., N, N), got shape {block.shape}")
-    size = block.shape[-1]
-    if size not in _MATRICES:
-        raise ValueError(f"unsupported transform size {size}; choose from {TRANSFORM_SIZES}")
+    orthonormal_gain(block.shape[-1])  # the one transform-size check
     if not np.issubdtype(block.dtype, np.integer):
         raise TypeError(f"{name} must be an integer array, got dtype {block.dtype}")
     info = np.iinfo(block.dtype)
