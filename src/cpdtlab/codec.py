@@ -129,13 +129,15 @@ def coeff_qstep(qp: int, block_size: int = DEFAULT_BLOCK_SIZE) -> float:
 
 
 def _tile(plane: np.ndarray, n: int) -> np.ndarray:
-    """Pad to multiples of n with edge replication and split into blocks."""
-    h, w = plane.shape
-    ph = (-h) % n
-    pw = (-w) % n
-    padded = np.pad(plane, ((0, ph), (0, pw)), mode="edge")
-    by, bx = padded.shape[0] // n, padded.shape[1] // n
-    return padded.reshape(by, n, bx, n).swapaxes(1, 2)
+    """Pad to multiples of n with edge replication and split into blocks.
+
+    A plane already a multiple of n is split as a view, without a copy.
+    """
+    for axis, size in enumerate(plane.shape):
+        if size % n:
+            plane = plane.take(np.arange(-(-size // n) * n), axis=axis, mode="clip")
+    by, bx = plane.shape[0] // n, plane.shape[1] // n
+    return plane.reshape(by, n, bx, n).swapaxes(1, 2)
 
 
 def _untile(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -248,7 +250,7 @@ def psnr(reference: np.ndarray, test: np.ndarray) -> float:
 
 def _distinct_values(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct values of an integer block array in ascending order, their
-    counts, and each value's index among them in the (row, block, col) layout.
+    counts, and each value's index among them in the (row, col, block) layout.
 
     One sort finds the values.  The indices come through a table over the
     value span that is written only at the distinct values, so no step costs
@@ -268,6 +270,11 @@ def _distinct_values(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return values, counts, np.take(table, offsets)
 
 
+# The squared errors of a target are summed in float32 chunks of this many
+# samples: a chunk's sum is at most 256 * 255^2 < 2^24, so it is exact.
+_SSE_CHUNK = 256
+
+
 class _Scorer:
     """Rate and PSNR of coefficient planes against one reference plane.
 
@@ -277,13 +284,18 @@ class _Scorer:
     dequantizes only the distinct coefficient values.  The same float
     formulas run on the same values, so:
 
-    - the dequantized values, gathered into the transform's (row, block, col)
-      layout, give decode_plane's pixels; +_MID_GREY is folded into the last shift;
+    - the dequantized values, gathered as float32 into the transform's
+      (row, col, block) layout, give decode_plane's pixels: they are clipped
+      to 16 bits, where the float32 inverse is exact (see transform), and
+      +_MID_GREY is folded into the last shift;
     - the dead-zone law is monotone, so merging the counts of neighbouring
       values with equal levels gives the level histogram in ascending level
       order, the order estimate_rate sums it in;
     - the squared error is an exact integer sum against the reference, tiled
-      once into the same layout with the padding samples zeroed.
+      once into the same layout as float32 with the padding samples zeroed:
+      each difference is at most 255, so its square is exact in float32; one
+      float32 GEMV sums the squares in chunks of _SSE_CHUNK, each exact below
+      2^24, and the chunk sums are added in float64.
 
     The work buffers live for one score() call.
     """
@@ -296,16 +308,19 @@ class _Scorer:
         outside = np.ones((by * block_size, bx * block_size), dtype=bool)
         outside[:h, :w] = False
         self.samples = h * w
-        self.rows = _rows(blocks, np.float64)
+        self.rows = _rows(blocks, np.float32)
         self.padding = np.flatnonzero(_rows(_tile(outside, block_size)))
 
     def score(self, coeff: np.ndarray, qps: Iterable[int]) -> list[tuple[float, float]]:
         """(rate, PSNR) of the coefficient plane at each qp, in order."""
         block_size = coeff.shape[-1]
         values, counts, gather = _distinct_values(coeff)
-        x = np.empty(gather.shape)
+        # x is the head of a buffer zero-padded to whole chunks; the tail stays zero.
+        buffer = np.zeros(-(-gather.size // _SSE_CHUNK) * _SSE_CHUNK, dtype=np.float32)
+        x = buffer[: gather.size].reshape(gather.shape)
         work = np.empty_like(x)
-        flat = x.reshape(-1)
+        chunks = buffer.reshape(-1, _SSE_CHUNK)
+        ones = np.ones(_SSE_CHUNK, dtype=np.float32)
         new_level = np.empty(values.size, dtype=bool)
         new_level[0] = True
         scores = []
@@ -314,12 +329,15 @@ class _Scorer:
             np.not_equal(levels[1:], levels[:-1], out=new_level[1:])
             histogram = np.add.reduceat(counts, np.flatnonzero(new_level))
             rate = _rate_from_counts(histogram, coeff.size, self.samples)
-            np.take(_dequantize(levels, qp, block_size), gather, out=x, mode="clip")
+            table = _dequantize(levels, qp, block_size).astype(np.float32)
+            np.take(table, gather, out=x, mode="clip")
             _inverse_rows(x, work, bias=_MID_GREY)
             np.clip(x, 0, PIXEL_MAX, out=x)
             x -= self.rows
-            flat[self.padding] = 0.0
-            scores.append((rate, _psnr_from_sse(int(flat @ flat), self.samples)))
+            np.square(x, out=x)
+            buffer[self.padding] = 0.0
+            sse = int(np.sum(chunks @ ones, dtype=np.float64))
+            scores.append((rate, _psnr_from_sse(sse, self.samples)))
         return scores
 
 

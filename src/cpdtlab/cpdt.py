@@ -182,16 +182,18 @@ def full_sweep(
 
     Cost model.  Once per sweep the direct curve is built (codec._Scorer
     scores every qp on one forward transform of the plane), and the plane is
-    tiled into the transform's (row, block, col) layout as the PSNR
+    tiled into the transform's (row, col, block) layout as the PSNR
     reference.  Once per qp_s the source is encoded, decoded through
     decode_plane (its pixels are the transcoder's input), scored, and its
     reconstruction forward-transformed; the distinct values of those
     coefficients, their counts and a gather index are then found in O(plane
     size).  Once per (qp_s, qp_t) pair only the distinct values are quantized
     and dequantized, the rate is read from their merged counts, and one
-    gather, one in-place inverse transform (two flat GEMMs) and one exact
-    squared-error sum give the PSNR (codec._Scorer).  The pair's work buffers
-    live for one qp_s, so no two sources hold them at once.
+    gather, one in-place inverse transform (a flat GEMM, then a stack of N)
+    and one exact squared-error sum (one GEMV over chunks) give the PSNR
+    (codec._Scorer).  These passes run in float32, exact on the 16-bit
+    dequantized values, so each moves half the bytes of float64.  The pair's
+    work buffers live for one qp_s, so no two sources hold them at once.
     """
     direct_curve = build_rd_curve(plane, block_size=block_size)
     scorer = _Scorer(plane, block_size)

@@ -16,21 +16,35 @@ Because of the staged shifts the 8x8 chain is deliberately not lossless: a
 forward/inverse round trip may move a sample by one or two codes.  The 4x4
 chain is exact on 8-bit residuals.
 
-The work runs on a (row, block, col) layout: blocks of shape (..., N, N)
-become one contiguous float64 array of shape (N, blocks * N), where column
-b * N + j of row i holds sample (i, j) of block b.  Each pass is then one
-flat 2-D GEMM: the first pass is M @ rows, which multiplies every block from
-the left at once, and the second is rows.reshape(-1, N) @ M', whose rows are
-the block rows.  Both run in place on buffers the caller owns.
+The work runs on a (row, col, block) layout: blocks of shape (..., N, N)
+become one contiguous float array of shape (N, N * blocks), where column
+j * blocks + b of row i holds sample (i, j) of block b.  The first pass,
+which multiplies every block from the left by M, is then one flat 2-D GEMM,
+M @ rows.  The second multiplies every block from the right by M'; on the
+(N, N, blocks) view of the rows that is M @ rows[i] for each row i, a stack
+of N GEMMs.  So both passes of a direction multiply by one matrix from the
+left: the forward's, and the inverse's transpose.  Both run in place on
+buffers the caller owns.
 
-Every value stays an exact integer.  The inputs lie in signed 32 bits (both
-directions check this), so every product and partial sum is an integer below
-2^31 * 8 * 89 < 2^41, which float64 holds exactly whatever order BLAS sums in.
-The rounded right shift (x + 2^(s-1)) >> s then runs as
-floor((x + 2^(s-1)) * 2^-s): the addition is exact below 2^53, scaling by a
-power of two only moves the exponent, and floor of x / 2^s is the arithmetic
-shift.  The clips compare exact integers.  So every result is the integer of
-the int64 reference definition.
+Each pass's rounded right shift (x + 2^(s-1)) >> s is folded into its GEMM
+operand: the operand is the matrix times 2^-s, so the GEMM gives x * 2^-s,
+and every stage reads "GEMM, add 1/2 (+bias), floor, clip".  The scale is a
+power of two, so the scaled matrix and every product are exact, and every
+partial sum is an integer multiple of 2^-s.  Such a sum is exact in a float
+whose mantissa holds its number of steps of 2^-s, whatever order BLAS sums
+in; floor then gives the arithmetic shift and the clips compare exact values.
+So every result is the integer of the int64 reference definition.  Two
+dtypes, two bounds:
+
+- float64 (53-bit mantissa) for forward_transform and inverse_transform,
+  whose inputs lie in signed 32 bits (both directions check this): every
+  sum stays below 2^31 * 8 * 89 < 2^41 in steps, plus the rounding and the
+  bias.
+- float32 (24-bit mantissa) for the inverse of 16-bit coefficients, which
+  codec's target kernel runs.  Every column of the 8-point matrix has L1
+  norm 479 (247 at 4 points), so a sum takes at most
+  479 * 2^15 + 2^19 + 2^11 = 16,222,208 < 2^24 steps: the GEMM, the bias
+  128 * 2^12 of the last shift and its rounding 2^11.
 """
 
 from __future__ import annotations
@@ -70,9 +84,23 @@ _T8 = np.array(
 # HEVC's core matrices nest: the 4-point one is the 8-point one's even rows, left half.
 _MATRICES = {4: _T8[::2, :4], 8: _T8}
 TRANSFORM_SIZES = tuple(_MATRICES)
-# Each matrix and its transpose as contiguous float64, the GEMM operands.
-_FLOAT_MATRICES = {
-    n: (t.astype(np.float64), t.T.astype(np.float64, order="C")) for n, t in _MATRICES.items()
+# Each direction's GEMM operands per dtype: its matrix times 2^-s for each
+# pass's rounded right shift s.  Forward runs in float64; inverse in float64
+# for 32-bit inputs and in float32 for 16-bit ones.
+_INVERSE_SHIFTS = (7, 12)
+
+
+def _operands(m: np.ndarray, shifts: tuple[int, int], dtype) -> tuple[np.ndarray, ...]:
+    return tuple(np.ascontiguousarray(m * 2.0**-s, dtype=dtype) for s in shifts)
+
+
+_FORWARD = {  # shifts log2(N) - 1, then log2(N) + 6
+    n: _operands(t, (n.bit_length() - 2, n.bit_length() + 5), np.float64)
+    for n, t in _MATRICES.items()
+}
+_INVERSE = {
+    np.dtype(dtype): {n: _operands(t.T, _INVERSE_SHIFTS, dtype) for n, t in _MATRICES.items()}
+    for dtype in (np.float64, np.float32)
 }
 
 # Inverse output range: the signed 9-bit residual of 8-bit video.
@@ -92,14 +120,10 @@ def orthonormal_gain(size: int) -> float:
     return 128.0 / size
 
 
-def _shift(x: np.ndarray, shift: int, bias: int = 0) -> np.ndarray:
-    """The rounded right shift (x + 2^(shift-1)) >> shift, plus bias, in place.
-
-    x holds integers below 2^41 in magnitude (see the module docstring); the
-    bias is folded into the addition as bias * 2^shift.
-    """
-    x += (1 << (shift - 1)) + (bias << shift)
-    x *= 2.0**-shift
+def _round(x: np.ndarray, bias: int = 0) -> np.ndarray:
+    """floor(x + 1/2 + bias) in place: after a GEMM on a 2^-s operand, the
+    rounded right shift by s, plus bias."""
+    x += 0.5 + bias
     return np.floor(x, out=x)
 
 
@@ -108,29 +132,30 @@ def _clip16(x: np.ndarray) -> np.ndarray:
 
 
 def _rows(blocks: np.ndarray, dtype=None) -> np.ndarray:
-    """Blocks (..., N, N) as a new contiguous (N, blocks * N) array in the
-    (row, block, col) layout."""
+    """Blocks (..., N, N) as a new contiguous (N, N * blocks) array in the
+    (row, col, block) layout."""
     lead = blocks.ndim - 2
-    rows = blocks.transpose(lead, *range(lead), lead + 1)
+    rows = blocks.transpose(lead, lead + 1, *range(lead))
     return np.array(rows, dtype=dtype, order="C").reshape(blocks.shape[-1], -1)
 
 
 def _blocks(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The (..., N, N) view of `shape` onto (row, block, col) rows; undoes _rows."""
+    """The (..., N, N) view of `shape` onto (row, col, block) rows; undoes _rows."""
     lead = len(shape) - 2
-    rows = rows.reshape(shape[-2], *shape[:-2], shape[-1])
-    return rows.transpose(*range(1, lead + 1), 0, lead + 1)
+    rows = rows.reshape(shape[-2], shape[-1], *shape[:-2])
+    return rows.transpose(*range(2, lead + 2), 0, 1)
 
 
 def _inverse_rows(x: np.ndarray, work: np.ndarray, bias: int = 0) -> None:
-    """Inverse transform of float64 (row, block, col) rows in place, without
-    the output clip; the last shift adds `bias`.  work is scratch of x's shape."""
+    """Inverse transform of (row, col, block) rows in place, in the dtype of x
+    and work, without the output clip; the last shift adds `bias`.  work is
+    scratch of x's shape and dtype; float32 needs 16-bit input."""
     n = x.shape[0]
-    t, t_transposed = _FLOAT_MATRICES[n]
-    np.matmul(t_transposed, x, out=work)
-    _clip16(_shift(work, 7))
-    np.matmul(work.reshape(-1, n), t, out=x.reshape(-1, n))
-    _shift(x, 12, bias)
+    first, second = _INVERSE[x.dtype][n]
+    np.matmul(first, x, out=work)
+    _clip16(_round(work))
+    np.matmul(second, work.reshape(n, n, -1), out=x.reshape(n, n, -1))
+    _round(x, bias)
 
 
 def _check_block(block: np.ndarray, name: str) -> np.ndarray:
@@ -164,14 +189,13 @@ def forward_transform(block: np.ndarray) -> np.ndarray:
     """
     block = _check_block(block, "block")
     size = block.shape[-1]
-    t, t_transposed = _FLOAT_MATRICES[size]
-    log2n = size.bit_length() - 1
+    first, second = _FORWARD[size]
     x = _rows(block, np.float64)
     work = np.empty_like(x)
-    np.matmul(t, x, out=work)
-    _clip16(_shift(work, log2n - 1))
-    np.matmul(work.reshape(-1, size), t_transposed, out=x.reshape(-1, size))
-    _clip16(_shift(x, log2n + 6))
+    np.matmul(first, x, out=work)
+    _clip16(_round(work))
+    np.matmul(second, work.reshape(size, size, -1), out=x.reshape(size, size, -1))
+    _clip16(_round(x))
     return _blocks(x, block.shape).astype(np.int64, order="C")
 
 

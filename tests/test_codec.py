@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from cpdtlab.codec import (
     DEFAULT_BLOCK_SIZE,
     MAX_PIXELS,
+    PIXEL_MAX,
     PSNR_CAP,
     ContentSpec,
     EncodedPlane,
+    _MID_GREY,
+    _SSE_CHUNK,
     _quantize_plane,
     _Scorer,
+    _tile,
     _transform_plane,
     coeff_qstep,
     decode_plane,
@@ -22,7 +26,7 @@ from cpdtlab.codec import (
     synth_content,
 )
 from cpdtlab.quantizer import QP_RANGE, qp_to_qstep
-from cpdtlab.transform import orthonormal_gain
+from cpdtlab.transform import COEFF_MIN, _INVERSE_SHIFTS, _MATRICES, orthonormal_gain
 
 
 class TestSynthContent:
@@ -119,6 +123,23 @@ class TestEncodeDecode:
             encode_plane(plane64, 20, block_size=16)
         with pytest.raises(TypeError):
             encode_plane(plane64.astype(np.int32), 20)
+
+
+class TestTile:
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 19), (19, 1), (7, 9), (13, 30), (8, 8), (16, 24), (5, 16), (24, 3)]
+    )
+    def test_matches_edge_padding(self, n, shape):
+        plane = np.random.default_rng(n).integers(0, 256, size=shape, dtype=np.uint8)
+        h, w = shape
+        padded = np.pad(plane, ((0, -h % n), (0, -w % n)), mode="edge")
+        expected = padded.reshape(padded.shape[0] // n, n, -1, n).swapaxes(1, 2)
+        tiled = _tile(plane, n)
+        assert tiled.dtype == plane.dtype
+        assert np.array_equal(tiled, expected)
+        # A plane of whole blocks is split without a copy.
+        assert np.shares_memory(tiled, plane) == (h % n == 0 and w % n == 0)
 
 
 class TestEstimateRate:
@@ -231,6 +252,35 @@ class TestScorerMatchesPlainChain:
         ]
 
     @pytest.mark.parametrize("block_size", [4, 8])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_16_bit_extremes_with_matrix_column_signs(self, block_size, sign):
+        # Every coefficient at +32767 or -32768 with the sign of its matrix
+        # column (then the negated field): at low qps these dequantize to the
+        # extremes, where the float32 inverse's first-pass sums are largest.
+        t = _MATRICES[block_size]
+        field = np.where(sign * t > 0, 32767, -32768)
+        coeff = np.broadcast_to(field, (2, 3, block_size, block_size))
+        rng = np.random.default_rng(block_size)
+        plane = rng.integers(0, 256, size=(2 * block_size - 1, 3 * block_size), dtype=np.uint8)
+        assert _Scorer(plane, block_size).score(coeff, QP_RANGE) == [
+            _plain_chain(plane, coeff, qp) for qp in QP_RANGE
+        ]
+
+    @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (255, 257), (256, 256)])
+    @pytest.mark.parametrize("field", ["zero", "own", "negated"])
+    def test_squared_error_above_2_to_24(self, shape, field):
+        # A random reference decoded from zero levels (mid-grey) has a sum of
+        # squared errors above 2^24, past what one float32 sum holds exactly.
+        plane = np.random.default_rng(shape[1]).integers(0, 256, size=shape, dtype=np.uint8)
+        assert int(((plane.astype(np.int64) - _MID_GREY) ** 2).sum()) > 2**24
+        own = _transform_plane(plane, 8)
+        coeff = {"zero": np.zeros_like(own), "own": own, "negated": -own}[field]
+        qps = range(0, 52, 3)
+        assert _Scorer(plane, 8).score(coeff, qps) == [
+            _plain_chain(plane, coeff, qp) for qp in qps
+        ]
+
+    @pytest.mark.parametrize("block_size", [4, 8])
     def test_constant_plane(self, block_size):
         # Mid-grey transforms to all-zero coefficients: one distinct value,
         # zero rate, and a lossless decode.
@@ -240,3 +290,23 @@ class TestScorerMatchesPlainChain:
         scores = _Scorer(plane, block_size).score(coeff, QP_RANGE)
         assert scores == [(0.0, PSNR_CAP)] * len(QP_RANGE)
         assert scores == [_plain_chain(plane, coeff, qp) for qp in QP_RANGE]
+
+
+class TestFloat32Bounds:
+    """The bounds that make the scorer's float32 arithmetic exact (transform's
+    module docstring and _Scorer): every sum below 2^24 steps."""
+
+    exact = 2 ** (np.finfo(np.float32).nmant + 1)
+
+    def test_inverse_sums(self):
+        first, second = _INVERSE_SHIFTS
+        for t in _MATRICES.values():
+            # Each first-pass sum meets one matrix column; the second pass
+            # reads clipped 16-bit values and adds the bias and the rounding.
+            column_l1 = int(np.abs(t).sum(axis=0).max())
+            assert column_l1 * -COEFF_MIN + (1 << (first - 1)) < self.exact
+            assert column_l1 * -COEFF_MIN + (_MID_GREY << second) + (1 << (second - 1)) < self.exact
+        assert int(np.abs(_MATRICES[8]).sum(axis=0).max()) == 479
+
+    def test_squared_error_chunks(self):
+        assert _SSE_CHUNK * PIXEL_MAX**2 < self.exact

@@ -8,6 +8,9 @@ from cpdtlab.transform import (
     forward_transform,
     inverse_transform,
     _MATRICES,
+    _blocks,
+    _inverse_rows,
+    _rows,
     orthonormal_gain,
 )
 
@@ -199,3 +202,22 @@ class TestInt64Reference:
         for blocks in (wide, residual, coeff):
             assert np.array_equal(forward_transform(blocks), _reference_forward(blocks))
             assert np.array_equal(inverse_transform(blocks), _reference_inverse(blocks))
+
+    @pytest.mark.parametrize("size", TRANSFORM_SIZES)
+    @pytest.mark.parametrize("bias", [0, 128])
+    def test_float32_inverse_on_16_bit_extremes(self, size, bias):
+        # Each coefficient column at +32767 or -32768 with the signs of the
+        # matrix column it meets in the first pass, so every first-pass sum
+        # reaches the column's L1 norm times 2^15; then the negated signs,
+        # the transposes and full-range 16-bit blocks.
+        t = _MATRICES[size]
+        worst = np.where(t > 0, 32767, -32768)
+        negated = np.where(t > 0, -32768, 32767)
+        rng = np.random.default_rng(size + bias)
+        coeff = rng.integers(-32768, 32767, size=(200, size, size), endpoint=True)
+        blocks = np.concatenate([np.stack([worst, negated, worst.T, negated.T]), coeff])
+        x = _rows(blocks, np.float32)
+        _inverse_rows(x, np.empty_like(x), bias)
+        stage1 = _clip16(_round_shift(np.matmul(t.T, blocks), 7))
+        expected = _round_shift(np.matmul(stage1, t) + (bias << 12), 12)
+        assert np.array_equal(_blocks(x, blocks.shape), expected)
