@@ -25,8 +25,9 @@ from .quantizer import qp_to_qstep
 from .transform import (
     COEFF_MAX,
     COEFF_MIN,
-    _inverse_rows,
+    _INVERSE,
     _rows,
+    _transform_rows,
     forward_transform,
     inverse_transform,
     orthonormal_gain,
@@ -331,7 +332,7 @@ class _Scorer:
             rate = _rate_from_counts(histogram, coeff.size, self.samples)
             table = _dequantize(levels, qp, block_size).astype(np.float32)
             np.take(table, gather, out=x, mode="clip")
-            _inverse_rows(x, work, bias=_MID_GREY)
+            _transform_rows(x, work, _INVERSE, bias=_MID_GREY)
             np.clip(x, 0, PIXEL_MAX, out=x)
             x -= self.rows
             np.square(x, out=x)

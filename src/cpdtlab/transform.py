@@ -23,28 +23,35 @@ which multiplies every block from the left by M, is then one flat 2-D GEMM,
 M @ rows.  The second multiplies every block from the right by M'; on the
 (N, N, blocks) view of the rows that is M @ rows[i] for each row i, a stack
 of N GEMMs.  So both passes of a direction multiply by one matrix from the
-left: the forward's, and the inverse's transpose.  Both run in place on
-buffers the caller owns.
+left: the forward's, and the inverse's transpose.  One routine runs the two
+passes of either direction in place on buffers the caller owns, for
+forward_transform, inverse_transform and codec's target kernel alike.
 
 Each pass's rounded right shift (x + 2^(s-1)) >> s is folded into its GEMM
 operand: the operand is the matrix times 2^-s, so the GEMM gives x * 2^-s,
-and every stage reads "GEMM, add 1/2 (+bias), floor, clip".  The scale is a
-power of two, so the scaled matrix and every product are exact, and every
-partial sum is an integer multiple of 2^-s.  Such a sum is exact in a float
-whose mantissa holds its number of steps of 2^-s, whatever order BLAS sums
-in; floor then gives the arithmetic shift and the clips compare exact values.
-So every result is the integer of the int64 reference definition.  Two
-dtypes, two bounds:
+and a pass reads "GEMM, add 1/2 (+bias), floor", the first then a 16-bit
+clip.  The scale is a power of two, so the scaled matrix and every product
+are exact, and every partial sum is an integer multiple of 2^-s.  Such a
+sum is exact in a float whose mantissa holds its number of steps of 2^-s,
+whatever order BLAS sums in; floor then gives the arithmetic shift and the
+clips compare exact values.  So every result is the integer of the int64
+reference definition.  Both directions run in float32 (24-bit mantissa),
+each on the input domain it has in an 8-bit codec, and each refuses values
+outside it:
 
-- float64 (53-bit mantissa) for forward_transform and inverse_transform,
-  whose inputs lie in signed 32 bits (both directions check this): every
-  sum stays below 2^31 * 8 * 89 < 2^41 in steps, plus the rounding and the
-  bias.
-- float32 (24-bit mantissa) for the inverse of 16-bit coefficients, which
-  codec's target kernel runs.  Every column of the 8-point matrix has L1
-  norm 479 (247 at 4 points), so a sum takes at most
+- forward_transform takes residuals in [-256, 255], the inverse's own
+  output range.  A first-pass sum takes at most 512 * 2^8 = 2^17 steps.  In
+  the second pass the rows whose entries are all +-64 (rows 0 and 4; rows 0
+  and 2 at 4 points) give multiples of 64, and every other row has L1 norm
+  at most 476, so its sum takes at most 476 * 2^15 + 2^8 < 2^24 steps.  No
+  stage leaves signed 16 bits: the output reaches -32768 (the DC of a
+  constant -256 block) but not +32768, because the domain is asymmetric,
+  so the forward's output needs no clip.
+- inverse_transform takes 16-bit coefficients in [-32768, 32767], as does
+  codec's target kernel.  Every column of the 8-point matrix has L1 norm
+  479 (247 at 4 points), so a sum takes at most
   479 * 2^15 + 2^19 + 2^11 = 16,222,208 < 2^24 steps: the GEMM, the bias
-  128 * 2^12 of the last shift and its rounding 2^11.
+  128 * 2^12 that the kernel adds in the last shift, and its rounding 2^11.
 """
 
 from __future__ import annotations
@@ -84,33 +91,24 @@ _T8 = np.array(
 # HEVC's core matrices nest: the 4-point one is the 8-point one's even rows, left half.
 _MATRICES = {4: _T8[::2, :4], 8: _T8}
 TRANSFORM_SIZES = tuple(_MATRICES)
-# Each direction's GEMM operands per dtype: its matrix times 2^-s for each
-# pass's rounded right shift s.  Forward runs in float64; inverse in float64
-# for 32-bit inputs and in float32 for 16-bit ones.
 _INVERSE_SHIFTS = (7, 12)
 
 
-def _operands(m: np.ndarray, shifts: tuple[int, int], dtype) -> tuple[np.ndarray, ...]:
-    return tuple(np.ascontiguousarray(m * 2.0**-s, dtype=dtype) for s in shifts)
+def _operands(m: np.ndarray, shifts: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """A direction's float32 GEMM operands: its matrix times 2^-s for each
+    pass's rounded right shift s."""
+    return tuple(np.ascontiguousarray(m * 2.0**-s, dtype=np.float32) for s in shifts)
 
 
 _FORWARD = {  # shifts log2(N) - 1, then log2(N) + 6
-    n: _operands(t, (n.bit_length() - 2, n.bit_length() + 5), np.float64)
-    for n, t in _MATRICES.items()
+    n: _operands(t, (n.bit_length() - 2, n.bit_length() + 5)) for n, t in _MATRICES.items()
 }
-_INVERSE = {
-    np.dtype(dtype): {n: _operands(t.T, _INVERSE_SHIFTS, dtype) for n, t in _MATRICES.items()}
-    for dtype in (np.float64, np.float32)
-}
+_INVERSE = {n: _operands(t.T, _INVERSE_SHIFTS) for n, t in _MATRICES.items()}
 
-# Inverse output range: the signed 9-bit residual of 8-bit video.
+# The forward's input domain and the inverse's output range: the signed 9-bit
+# residual of 8-bit video.
 _RESIDUAL_MIN = -256
 _RESIDUAL_MAX = 255
-
-# Inputs must fit in signed 32 bits, far beyond any residual or 16-bit
-# coefficient; the bound keeps every GEMM exact (see the module docstring).
-_INPUT_MIN = -(1 << 31)
-_INPUT_MAX = (1 << 31) - 1
 
 
 def orthonormal_gain(size: int) -> float:
@@ -146,19 +144,22 @@ def _blocks(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return rows.transpose(*range(2, lead + 2), 0, 1)
 
 
-def _inverse_rows(x: np.ndarray, work: np.ndarray, bias: int = 0) -> None:
-    """Inverse transform of (row, col, block) rows in place, in the dtype of x
-    and work, without the output clip; the last shift adds `bias`.  work is
-    scratch of x's shape and dtype; float32 needs 16-bit input."""
+def _transform_rows(x: np.ndarray, work: np.ndarray, direction: dict, bias: int = 0) -> None:
+    """One direction's two passes over float32 (row, col, block) rows x, in
+    place and without an output clip; the last shift adds `bias`.
+
+    direction is _FORWARD or _INVERSE, and x must hold values of its input
+    domain (see the module docstring); work is scratch of x's shape.
+    """
     n = x.shape[0]
-    first, second = _INVERSE[x.dtype][n]
+    first, second = direction[n]
     np.matmul(first, x, out=work)
     _clip16(_round(work))
     np.matmul(second, work.reshape(n, n, -1), out=x.reshape(n, n, -1))
     _round(x, bias)
 
 
-def _check_block(block: np.ndarray, name: str) -> np.ndarray:
+def _check_block(block: np.ndarray, name: str, lo: int, hi: int) -> np.ndarray:
     block = np.asarray(block)
     if block.ndim < 2 or block.shape[-1] != block.shape[-2]:
         raise ValueError(f"{name} must be (..., N, N), got shape {block.shape}")
@@ -166,10 +167,8 @@ def _check_block(block: np.ndarray, name: str) -> np.ndarray:
     if not np.issubdtype(block.dtype, np.integer):
         raise TypeError(f"{name} must be an integer array, got dtype {block.dtype}")
     info = np.iinfo(block.dtype)
-    if (info.min < _INPUT_MIN or info.max > _INPUT_MAX) and block.size and (
-        block.min() < _INPUT_MIN or block.max() > _INPUT_MAX
-    ):
-        raise ValueError(f"{name} values must lie in signed 32 bits [{_INPUT_MIN}, {_INPUT_MAX}]")
+    if (info.min < lo or info.max > hi) and block.size and (block.min() < lo or block.max() > hi):
+        raise ValueError(f"{name} values must lie in [{lo}, {hi}]")
     return block
 
 
@@ -177,36 +176,32 @@ def forward_transform(block: np.ndarray) -> np.ndarray:
     """Forward 2-D integer transform of residual block(s).
 
     Args:
-        block: integer array of shape (..., N, N), N in TRANSFORM_SIZES.
+        block: integer array of shape (..., N, N), N in TRANSFORM_SIZES, of
+            9-bit residuals in [-256, 255].
 
     Returns:
-        int64 coefficient array of the same shape, every stage clipped to
-        [-32768, 32767].
+        int64 coefficient array of the same shape, in [-32768, 32767]: on
+        residual input no stage leaves signed 16 bits.
 
     Raises:
-        ValueError: a value lies outside signed 32 bits, or the block shape
-            is out of range.
+        ValueError: a value lies outside [-256, 255], or the block shape is
+            out of range.
     """
-    block = _check_block(block, "block")
-    size = block.shape[-1]
-    first, second = _FORWARD[size]
-    x = _rows(block, np.float64)
-    work = np.empty_like(x)
-    np.matmul(first, x, out=work)
-    _clip16(_round(work))
-    np.matmul(second, work.reshape(size, size, -1), out=x.reshape(size, size, -1))
-    _clip16(_round(x))
+    block = _check_block(block, "block", _RESIDUAL_MIN, _RESIDUAL_MAX)
+    x = _rows(block, np.float32)
+    _transform_rows(x, np.empty_like(x), _FORWARD)
     return _blocks(x, block.shape).astype(np.int64, order="C")
 
 
 def inverse_transform(coeff: np.ndarray) -> np.ndarray:
     """Inverse 2-D integer transform of coefficient block(s).
 
-    Output is clipped to the residual range [-256, 255]; the input values
-    are bounded as in forward_transform.
+    coeff holds 16-bit coefficients in [-32768, 32767], and a ValueError
+    names any value outside them; the shape rules are forward_transform's.
+    The int64 output is clipped to the residual range [-256, 255].
     """
-    coeff = _check_block(coeff, "coeff")
-    x = _rows(coeff, np.float64)
-    _inverse_rows(x, np.empty_like(x))
+    coeff = _check_block(coeff, "coeff", COEFF_MIN, COEFF_MAX)
+    x = _rows(coeff, np.float32)
+    _transform_rows(x, np.empty_like(x), _INVERSE)
     np.clip(x, _RESIDUAL_MIN, _RESIDUAL_MAX, out=x)
     return _blocks(x, coeff.shape).astype(np.int64, order="C")

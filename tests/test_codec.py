@@ -26,7 +26,16 @@ from cpdtlab.codec import (
     synth_content,
 )
 from cpdtlab.quantizer import QP_RANGE, qp_to_qstep
-from cpdtlab.transform import COEFF_MIN, _INVERSE_SHIFTS, _MATRICES, orthonormal_gain
+from cpdtlab.transform import (
+    COEFF_MAX,
+    COEFF_MIN,
+    _FORWARD,
+    _INVERSE_SHIFTS,
+    _MATRICES,
+    _RESIDUAL_MAX,
+    _RESIDUAL_MIN,
+    orthonormal_gain,
+)
 
 
 class TestSynthContent:
@@ -293,8 +302,8 @@ class TestScorerMatchesPlainChain:
 
 
 class TestFloat32Bounds:
-    """The bounds that make the scorer's float32 arithmetic exact (transform's
-    module docstring and _Scorer): every sum below 2^24 steps."""
+    """The bounds that make the float32 transforms and the scorer exact
+    (transform's module docstring and _Scorer): every sum below 2^24 steps."""
 
     exact = 2 ** (np.finfo(np.float32).nmant + 1)
 
@@ -307,6 +316,38 @@ class TestFloat32Bounds:
             assert column_l1 * -COEFF_MIN + (1 << (first - 1)) < self.exact
             assert column_l1 * -COEFF_MIN + (_MID_GREY << second) + (1 << (second - 1)) < self.exact
         assert int(np.abs(_MATRICES[8]).sum(axis=0).max()) == 479
+
+    def test_forward_sums(self):
+        def shift(x, s):
+            return (x + (1 << (s - 1))) >> s
+
+        for n, t in _MATRICES.items():
+            # The operands carry HEVC's shifts log2(N) - 1, then log2(N) + 6.
+            shifts = first, second = n.bit_length() - 2, n.bit_length() + 5
+            for operand, s in zip(_FORWARD[n], shifts):
+                assert np.array_equal(operand, t * 2.0**-s)
+            up, down = np.where(t > 0, t, 0).sum(axis=1), np.where(t < 0, t, 0).sum(axis=1)
+            # Pass 1 meets one matrix row per sum, on residuals; its extremes
+            # by row set the range of each value pass 2 reads in that row.
+            top = up * _RESIDUAL_MAX + down * _RESIDUAL_MIN
+            bottom = up * _RESIDUAL_MIN + down * _RESIDUAL_MAX
+            assert max(top.max(), -bottom.min()) + (1 << (first - 1)) < self.exact
+            top, bottom = shift(top, first), shift(bottom, first)
+            assert COEFF_MIN <= bottom.min() and top.max() <= COEFF_MAX  # no first clip
+            # Pass 2: output (i, j) meets row i of pass 1 and matrix row j.  A
+            # row's sum and rounding are multiples of the gcd of its entries
+            # and the rounding: 64 for the rows of +-64, a power of two that
+            # frees six mantissa bits, and 1 elsewhere.
+            high = np.outer(top, up) + np.outer(bottom, down)
+            low = np.outer(bottom, up) + np.outer(top, down)
+            steps = np.gcd.reduce(np.abs(t), axis=1, initial=1 << (second - 1))
+            assert set(steps.tolist()) == {1, 64}
+            assert np.all((np.maximum(high, -low) + (1 << (second - 1))) // steps < self.exact)
+            # The output needs no clip: it reaches -32768 but not +32768.
+            assert shift(low, second).min() == COEFF_MIN
+            assert shift(high, second).max() <= COEFF_MAX
+        flat = np.all(np.abs(_MATRICES[8]) == 64, axis=1)
+        assert int(np.abs(_MATRICES[8][~flat]).sum(axis=1).max()) == 476
 
     def test_squared_error_chunks(self):
         assert _SSE_CHUNK * PIXEL_MAX**2 < self.exact

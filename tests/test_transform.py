@@ -7,15 +7,13 @@ from cpdtlab.transform import (
     TRANSFORM_SIZES,
     forward_transform,
     inverse_transform,
+    _INVERSE,
     _MATRICES,
     _blocks,
-    _inverse_rows,
     _rows,
+    _transform_rows,
     orthonormal_gain,
 )
-
-INT32_MIN = -(1 << 31)
-INT32_MAX = (1 << 31) - 1
 
 
 def _round_shift(x, shift):
@@ -38,6 +36,16 @@ def _reference_inverse(coeff):
     t = _MATRICES[coeff.shape[-1]]
     stage1 = _clip16(_round_shift(np.matmul(t.T, coeff.astype(np.int64)), 7))
     return np.clip(_round_shift(np.matmul(stage1, t), 12), -256, 255)
+
+
+def _column_sign_extremes(t):
+    """Coefficient blocks whose columns sit at the 16-bit ends with the signs
+    of the matrix column each meets in the inverse's first pass, so every
+    first-pass sum reaches the column's L1 norm times 2^15; then the negated
+    signs and the transposes."""
+    worst = np.where(t > 0, 32767, -32768)
+    negated = np.where(t > 0, -32768, 32767)
+    return np.stack([worst, negated, worst.T, negated.T])
 
 
 class TestMatrices:
@@ -95,13 +103,13 @@ class TestForward:
         assert np.all(forward_transform(block) == 0)
         assert np.all(inverse_transform(block) == 0)
 
-    def test_clipping_engages_at_extreme_input(self):
-        # A constant block at the int16 ceiling would map its DC to
-        # 128 * 32767 without clipping; each stage saturates at 32767.
-        block = np.full((4, 4), 32767, dtype=np.int64)
-        coeff = forward_transform(block)
-        assert coeff[0, 0] == 32767
-        assert coeff.max() <= 32767 and coeff.min() >= -32768
+    @pytest.mark.parametrize("size", TRANSFORM_SIZES)
+    def test_minimum_residual_block_has_dc_minus_32768(self, size):
+        # 128 * -256 is the 16-bit floor: the forward reaches it, unclipped.
+        coeff = forward_transform(np.full((size, size), -256, dtype=np.int64))
+        assert coeff[0, 0] == -32768
+        coeff[0, 0] = 0
+        assert np.all(coeff == 0)
 
     def test_rejects_bad_blocks(self):
         with pytest.raises(ValueError):
@@ -111,16 +119,44 @@ class TestForward:
         with pytest.raises(TypeError):
             forward_transform(np.zeros((4, 4), dtype=np.float64))
 
-    @pytest.mark.parametrize("fn", [forward_transform, inverse_transform])
+
+class TestDomains:
+    """Each direction takes the values it meets in an 8-bit codec: the
+    forward 9-bit residuals, the inverse 16-bit coefficients."""
+
     @pytest.mark.parametrize(
-        "value, dtype",
-        [(INT32_MAX + 1, np.int64), (INT32_MIN - 1, np.int64), (INT32_MAX + 1, np.uint32)],
+        "fn, value, dtype",
+        [
+            (forward_transform, -257, np.int64),
+            (forward_transform, 256, np.int64),
+            (forward_transform, -257, np.int16),
+            (forward_transform, 256, np.int16),
+            (inverse_transform, 32768, np.int64),
+            (inverse_transform, -32769, np.int64),
+            (inverse_transform, 32768, np.int32),
+            (inverse_transform, -32769, np.int32),
+            (inverse_transform, 32768, np.uint16),
+        ],
     )
-    def test_rejects_values_outside_32_bits(self, fn, value, dtype):
+    def test_refuses_values_outside_its_domain(self, fn, value, dtype):
         block = np.zeros((4, 4), dtype=dtype)
         block[1, 2] = value
-        with pytest.raises(ValueError, match="signed 32 bits"):
+        with pytest.raises(ValueError, match=r"values must lie in \["):
             fn(block)
+
+    @pytest.mark.parametrize(
+        "fn, reference, lo, hi",
+        [
+            (forward_transform, _reference_forward, -256, 255),
+            (inverse_transform, _reference_inverse, -32768, 32767),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16])
+    def test_accepts_both_ends_of_its_domain(self, fn, reference, lo, hi, dtype):
+        block = np.zeros((2, 4, 4), dtype=dtype)
+        block[0] = lo
+        block[1, 1::2] = hi
+        assert np.array_equal(fn(block), reference(block))
 
 
 class TestInverse:
@@ -190,34 +226,46 @@ class TestRoundtrip:
 class TestInt64Reference:
     @pytest.mark.parametrize("size", TRANSFORM_SIZES)
     def test_matches_int64_reference(self, size):
-        # Full-range 32-bit blocks, their extremes, and residual-sized blocks:
-        # the float64 products must give the exact integers of int64 matmul.
+        # The float32 products must give the exact integers of int64 matmul.
+        # The forward sees random residual blocks; for each output (i, j) the
+        # blocks with X[m, k] = 255 or -256 by the sign of T[i, m] * T[j, k],
+        # in both polarities; and the constant blocks at both ends.
+        t = _MATRICES[size]
         rng = np.random.default_rng(size)
-        wide = rng.integers(INT32_MIN, INT32_MAX, size=(300, size, size), endpoint=True)
-        wide[:100].flat[rng.integers(0, 100 * size * size, 400)] = INT32_MAX
-        wide[:100].flat[rng.integers(0, 100 * size * size, 400)] = -INT32_MAX
-        wide[100:150] = rng.choice([-INT32_MAX, INT32_MAX, INT32_MIN], size=(50, size, size))
-        residual = rng.integers(-256, 255, size=(300, size, size), endpoint=True)
-        coeff = rng.integers(-32768, 32767, size=(300, size, size), endpoint=True)
-        for blocks in (wide, residual, coeff):
-            assert np.array_equal(forward_transform(blocks), _reference_forward(blocks))
-            assert np.array_equal(inverse_transform(blocks), _reference_inverse(blocks))
+        positive = np.einsum("im,jk->ijmk", t, t).reshape(-1, size, size) > 0
+        residual = np.concatenate(
+            [
+                rng.integers(-256, 255, size=(300, size, size), endpoint=True),
+                np.where(positive, 255, -256),
+                np.where(positive, -256, 255),
+                np.full((1, size, size), -256),
+                np.full((1, size, size), 255),
+            ]
+        )
+        assert np.array_equal(forward_transform(residual), _reference_forward(residual))
+        # The inverse sees those blocks, random 16-bit ones and the
+        # column-sign 16-bit extremes.
+        coeff = np.concatenate(
+            [
+                residual,
+                rng.integers(-32768, 32767, size=(300, size, size), endpoint=True),
+                _column_sign_extremes(t),
+            ]
+        )
+        assert np.array_equal(inverse_transform(coeff), _reference_inverse(coeff))
 
     @pytest.mark.parametrize("size", TRANSFORM_SIZES)
     @pytest.mark.parametrize("bias", [0, 128])
     def test_float32_inverse_on_16_bit_extremes(self, size, bias):
-        # Each coefficient column at +32767 or -32768 with the signs of the
-        # matrix column it meets in the first pass, so every first-pass sum
-        # reaches the column's L1 norm times 2^15; then the negated signs,
-        # the transposes and full-range 16-bit blocks.
+        # The codec's target kernel: the inverse rows without the output
+        # clip, with a bias in the last shift, on the column-sign extremes
+        # and full-range 16-bit blocks.
         t = _MATRICES[size]
-        worst = np.where(t > 0, 32767, -32768)
-        negated = np.where(t > 0, -32768, 32767)
         rng = np.random.default_rng(size + bias)
         coeff = rng.integers(-32768, 32767, size=(200, size, size), endpoint=True)
-        blocks = np.concatenate([np.stack([worst, negated, worst.T, negated.T]), coeff])
+        blocks = np.concatenate([_column_sign_extremes(t), coeff])
         x = _rows(blocks, np.float32)
-        _inverse_rows(x, np.empty_like(x), bias)
+        _transform_rows(x, np.empty_like(x), _INVERSE, bias)
         stage1 = _clip16(_round_shift(np.matmul(t.T, blocks), 7))
         expected = _round_shift(np.matmul(stage1, t) + (bias << 12), 12)
         assert np.array_equal(_blocks(x, blocks.shape), expected)
