@@ -75,12 +75,11 @@ MAX_PIXELS = 1 << 22
 class EncodedPlane:
     """Quantized transform levels for one plane.
 
-    levels has shape (blocks_y, blocks_x, N, N); together with qp and the
-    block size it fully determines the decoded plane.
+    levels has shape (blocks_y, blocks_x, N, N); together with qp it fully
+    determines the decoded plane.
     """
 
     qp: int
-    block_size: int
     width: int
     height: int
     levels: np.ndarray
@@ -175,30 +174,20 @@ def _dequantize(levels: np.ndarray, qp: int, block_size: int) -> np.ndarray:
     return np.clip(coeff, COEFF_MIN, COEFF_MAX, out=coeff)
 
 
-def _quantize_plane(coeff: np.ndarray, qp: int, shape: tuple[int, int]) -> EncodedPlane:
-    """Dead-zone quantize _transform_plane coefficients of a plane of `shape` at qp."""
-    block_size = coeff.shape[-1]
-    h, w = shape
-    return EncodedPlane(
-        qp=qp, block_size=block_size, width=w, height=h, levels=_quantize(coeff, qp, block_size)
-    )
-
-
-def encode_plane(
-    plane: np.ndarray, qp: int, block_size: int = DEFAULT_BLOCK_SIZE
-) -> EncodedPlane:
-    """Transform and quantize a uint8 plane.
+def encode_plane(coeff: np.ndarray, qp: int, shape: tuple[int, int]) -> EncodedPlane:
+    """Quantize the _transform_plane coefficients of a plane of `shape` at qp.
 
     Quantization is the dead-zone law level = sign(c) * floor(|c|/step + 1/3)
-    on the integer transform coefficients; the step follows coeff_qstep(qp).
+    on the integer transform coefficients; the step follows coeff_qstep(qp, N)
+    for the coefficients' block size N.
     """
-    coeff = _transform_plane(plane, block_size)
-    return _quantize_plane(coeff, qp, np.shape(plane))
+    h, w = shape
+    return EncodedPlane(qp=qp, width=w, height=h, levels=_quantize(coeff, qp, coeff.shape[-1]))
 
 
 def decode_plane(enc: EncodedPlane) -> np.ndarray:
     """Reconstruct a uint8 plane from quantized levels."""
-    coeff = _dequantize(enc.levels, enc.qp, enc.block_size).astype(np.int16)
+    coeff = _dequantize(enc.levels, enc.qp, enc.levels.shape[-1]).astype(np.int16)
     residual = inverse_transform(coeff)
     # In place: fresh plane-sized temporaries cost more than the arithmetic on them.
     residual += _MID_GREY
@@ -281,7 +270,7 @@ class _Scorer:
 
     score(coeff, qps) gives, for each qp, exactly the pair
     (estimate_rate(enc), psnr(reference, decode_plane(enc))) with
-    enc = _quantize_plane(coeff, qp, reference.shape), but quantizes and
+    enc = encode_plane(coeff, qp, reference.shape), but quantizes and
     dequantizes only the distinct coefficient values.  The same float
     formulas run on the same values, so:
 

@@ -126,6 +126,19 @@ class LocalMinimumRow:
     delta_at_qp_s: float
 
 
+def _rd_curve(scorer: _Scorer, coeff: np.ndarray, qps: Sequence[int]) -> RDCurve:
+    """The RD curve of the scorer's reference plane, read off that plane's
+    coefficients at qps (sorted and distinct)."""
+    samples = [RDPoint(qp, rate, db) for qp, (rate, db) in zip(qps, scorer.score(coeff, qps))]
+    # By rate, best PSNR first (a stable sort: ties keep the lowest qp); a
+    # point is kept when its PSNR beats the last point kept.
+    cleaned: list[RDPoint] = []
+    for pt in sorted(samples, key=lambda p: (p.rate, -p.psnr)):
+        if not cleaned or pt.psnr > cleaned[-1].psnr:
+            cleaned.append(pt)
+    return RDCurve(samples=tuple(samples), points=tuple(cleaned))
+
+
 def build_rd_curve(
     plane: np.ndarray,
     qps: Sequence[int] = QP_RANGE,
@@ -136,17 +149,7 @@ def build_rd_curve(
     if not qps:
         raise ValueError("need at least one qp")
     coeff = _transform_plane(plane, block_size)
-    samples = [
-        RDPoint(qp, rate, db)
-        for qp, (rate, db) in zip(qps, _Scorer(plane, block_size).score(coeff, qps))
-    ]
-    # By rate, best PSNR first (a stable sort: ties keep the lowest qp); a
-    # point is kept when its PSNR beats the last point kept.
-    cleaned: list[RDPoint] = []
-    for pt in sorted(samples, key=lambda p: (p.rate, -p.psnr)):
-        if not cleaned or pt.psnr > cleaned[-1].psnr:
-            cleaned.append(pt)
-    return RDCurve(samples=tuple(samples), points=tuple(cleaned))
+    return _rd_curve(_Scorer(plane, block_size), coeff, qps)
 
 
 def interp_psnr_at_rate(curve: RDCurve, rate: float) -> Optional[float]:
@@ -180,12 +183,13 @@ def full_sweep(
     The direct curve is the plane's own RD curve over QP_RANGE at the sweep's
     block size; no curve from another plane or block size can enter.
 
-    Cost model.  Once per sweep the direct curve is built (codec._Scorer
-    scores every qp on one forward transform of the plane), and the plane is
-    tiled into the transform's (row, col, block) layout as the PSNR
-    reference.  Once per qp_s the source is encoded, decoded through
-    decode_plane (its pixels are the transcoder's input), scored, and its
-    reconstruction forward-transformed; the distinct values of those
+    Cost model.  Once per sweep the plane is transformed and one scorer
+    built (codec._Scorer, which tiles the plane into the transform's (row,
+    col, block) layout as the PSNR reference); the scorer reads the direct
+    curve off those coefficients at every qp.  Once per qp_s the same
+    coefficients are quantized into the source, which is decoded through
+    decode_plane (its pixels are the transcoder's input) and scored, and its
+    reconstruction is forward-transformed; the distinct values of those
     coefficients, their counts and a gather index are then found in O(plane
     size).  Once per (qp_s, qp_t) pair only the distinct values are quantized
     and dequantized, the rate is read from their merged counts, and one
@@ -195,11 +199,12 @@ def full_sweep(
     dequantized values, so each moves half the bytes of float64.  The pair's
     work buffers live for one qp_s, so no two sources hold them at once.
     """
-    direct_curve = build_rd_curve(plane, block_size=block_size)
+    coeff = _transform_plane(plane, block_size)
     scorer = _Scorer(plane, block_size)
+    direct_curve = _rd_curve(scorer, coeff, QP_RANGE)
     records = []
     for qp_s in qp_s_values:
-        source = encode_plane(plane, qp_s, block_size)
+        source = encode_plane(coeff, qp_s, np.shape(plane))
         recon = decode_plane(source)
         source_rate, psnr_r = estimate_rate(source), psnr(plane, recon)
         targets = scorer.score(_transform_plane(recon, block_size), qp_t_values)

@@ -24,6 +24,12 @@ from cpdtlab.requant import MAX_DOMAIN_SIZE
 import argparse
 
 
+# Steps whose exponents the parser takes but whose doubles overflow or round
+# to 0; requant._step_float refuses them with _STEP_REFUSAL.
+_UNPRINTABLE_STEPS = {"1e309", "1e-330", "1:1e309:1e308"}
+_STEP_REFUSAL = "step lies outside the range of a double (4.9e-324 to 1.8e308)"
+
+
 def _rows(path):
     """Non-comment lines of a CSV file: header first, then data rows."""
     lines = path.read_text().splitlines()
@@ -261,6 +267,9 @@ class TestInputBounds:
             ("surface", "12", "1:1e400:1e399"),
             ("surface", "1e-400:1:1", "12"),
             ("overlap", "1e400", "12"),
+            ("sweep", "1e309", "12"),
+            ("sweep", "12", "1e-330"),
+            ("surface", "12", "1:1e309:1e308"),
         ],
     )
     def test_step_outside_double_range_is_usage_error(self, subcommand, qstep_s, qstep_t,
@@ -270,7 +279,10 @@ class TestInputBounds:
         code = main(["requant", subcommand, f"--qstep-s={qstep_s}", f"--qstep-t={qstep_t}",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
-        assert "outside the range of a double" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "outside the range of a double" in err
+        if {qstep_s, qstep_t} & _UNPRINTABLE_STEPS:
+            assert _STEP_REFUSAL in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codec_chain import encode
 from cpdtlab.codec import (
     DEFAULT_BLOCK_SIZE,
     MAX_PIXELS,
@@ -14,7 +15,6 @@ from cpdtlab.codec import (
     EncodedPlane,
     _MID_GREY,
     _SSE_CHUNK,
-    _quantize_plane,
     _Scorer,
     _tile,
     _transform_plane,
@@ -55,8 +55,8 @@ class TestSynthContent:
     def test_complexity_raises_rate(self):
         low = synth_content(ContentSpec(seed=3, complexity=0.1, width=96, height=96))
         high = synth_content(ContentSpec(seed=3, complexity=0.9, width=96, height=96))
-        r_low = estimate_rate(encode_plane(low, 28))
-        r_high = estimate_rate(encode_plane(high, 28))
+        r_low = estimate_rate(encode(low, 28))
+        r_high = estimate_rate(encode(high, 28))
         assert r_low < r_high
         assert r_low == pytest.approx(1.001, abs=0.05)
         assert r_high == pytest.approx(3.359, abs=0.05)
@@ -64,8 +64,8 @@ class TestSynthContent:
     def test_complexity_lowers_psnr(self):
         smooth = synth_content(ContentSpec(seed=3, complexity=0.0, width=96, height=96))
         busy = synth_content(ContentSpec(seed=3, complexity=1.0, width=96, height=96))
-        p_smooth = psnr(smooth, decode_plane(encode_plane(smooth, 28)))
-        p_busy = psnr(busy, decode_plane(encode_plane(busy, 28)))
+        p_smooth = psnr(smooth, decode_plane(encode(smooth, 28)))
+        p_busy = psnr(busy, decode_plane(encode(busy, 28)))
         assert p_busy < p_smooth
 
     def test_validation(self):
@@ -84,14 +84,14 @@ class TestSynthContent:
 
 class TestEncodeDecode:
     def test_qp0_is_near_lossless(self, plane64):
-        recon = decode_plane(encode_plane(plane64, 0))
+        recon = decode_plane(encode(plane64, 0))
         mse = float(np.mean((recon.astype(np.float64) - plane64) ** 2))
         assert mse < 0.1
         assert psnr(plane64, recon) > 50.0
 
     def test_uniform_plane_codes_to_zero_levels(self):
         plane = np.full((32, 32), 128, dtype=np.uint8)
-        enc = encode_plane(plane, 30)
+        enc = encode(plane, 30)
         assert np.all(enc.levels == 0)
         assert np.array_equal(decode_plane(enc), plane)
         assert estimate_rate(enc) == 0.0
@@ -99,22 +99,21 @@ class TestEncodeDecode:
     def test_non_multiple_dimensions_crop_back(self):
         rng = np.random.default_rng(17)
         plane = rng.integers(0, 256, size=(50, 70), dtype=np.uint8)
-        enc = encode_plane(plane, 20)
+        enc = encode(plane, 20)
         recon = decode_plane(enc)
         assert recon.shape == plane.shape
         assert recon.dtype == np.uint8
 
     def test_block_size_4_path(self, plane64):
-        enc = encode_plane(plane64, 24, block_size=4)
-        assert enc.block_size == 4
+        enc = encode(plane64, 24, block_size=4)
         assert enc.levels.shape == (16, 16, 4, 4)
         recon = decode_plane(enc)
         assert recon.shape == plane64.shape
         assert psnr(plane64, recon) > 30.0
 
     def test_coarser_qp_zeroes_more_levels(self, plane64):
-        n22 = int(np.count_nonzero(encode_plane(plane64, 22).levels))
-        n51 = int(np.count_nonzero(encode_plane(plane64, 51).levels))
+        n22 = int(np.count_nonzero(encode(plane64, 22).levels))
+        n51 = int(np.count_nonzero(encode(plane64, 51).levels))
         assert n51 < n22
         assert n22 == 2657
         assert n51 == 81
@@ -124,14 +123,15 @@ class TestEncodeDecode:
         assert coeff_qstep(12, 4) == qp_to_qstep(12) * orthonormal_gain(4)
 
     def test_validation(self, plane64):
+        coeff = _transform_plane(plane64, DEFAULT_BLOCK_SIZE)
         with pytest.raises(ValueError):
-            encode_plane(plane64, 52)
+            encode_plane(coeff, 52, plane64.shape)
         with pytest.raises(ValueError):
-            encode_plane(plane64, -1)
+            encode_plane(coeff, -1, plane64.shape)
         with pytest.raises(ValueError):
-            encode_plane(plane64, 20, block_size=16)
+            _transform_plane(plane64, 16)
         with pytest.raises(TypeError):
-            encode_plane(plane64.astype(np.int32), 20)
+            _transform_plane(plane64.astype(np.int32), DEFAULT_BLOCK_SIZE)
 
 
 class TestTile:
@@ -155,25 +155,23 @@ class TestEstimateRate:
     def test_two_symbol_plane_is_one_bit(self):
         levels = np.zeros((1, 1, 8, 8), dtype=np.int64)
         levels[0, 0, :, :4] = 5  # half one level, half another
-        enc = EncodedPlane(qp=20, block_size=8, width=8, height=8, levels=levels)
+        enc = EncodedPlane(qp=20, width=8, height=8, levels=levels)
         assert estimate_rate(enc) == 1.0
 
     def test_rate_decreases_with_qp(self, plane64):
-        assert estimate_rate(encode_plane(plane64, 38)) < estimate_rate(
-            encode_plane(plane64, 22)
-        )
+        assert estimate_rate(encode(plane64, 38)) < estimate_rate(encode(plane64, 22))
 
     def test_rate_is_positive_zero_for_flat_input(self):
         # All-zero levels give entropy -(1 * log2(1)) == -0.0 before
         # normalization; the CSV writers must never see "-0".
         plane = np.full((16, 16), 128, dtype=np.uint8)
-        rate = estimate_rate(encode_plane(plane, 40))
+        rate = estimate_rate(encode(plane, 40))
         assert rate == 0.0
         assert str(rate) == "0.0"  # not -0.0
 
     def test_off_center_flat_plane_keeps_dc_levels(self):
         plane = np.full((16, 16), 77, dtype=np.uint8)
-        enc = encode_plane(plane, 40)
+        enc = encode(plane, 40)
         assert int(np.count_nonzero(enc.levels)) == 4  # one DC level per block
         assert estimate_rate(enc) > 0.0
 
@@ -193,7 +191,7 @@ class TestPsnr:
         assert psnr(a, c) == pytest.approx(48.1308036086791, abs=1e-4)
 
     def test_symmetry(self, plane64):
-        other = decode_plane(encode_plane(plane64, 30))
+        other = decode_plane(encode(plane64, 30))
         assert psnr(plane64, other) == psnr(other, plane64)
 
     def test_shape_mismatch_rejected(self):
@@ -214,7 +212,7 @@ class TestRdMonotonicity:
 
 
 def _plain_chain(plane, coeff, qp):
-    enc = _quantize_plane(coeff, qp, plane.shape)
+    enc = encode_plane(coeff, qp, plane.shape)
     return estimate_rate(enc), psnr(plane, decode_plane(enc))
 
 

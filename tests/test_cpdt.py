@@ -6,14 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from cpdtlab.codec import (
-    ContentSpec,
-    decode_plane,
-    encode_plane,
-    estimate_rate,
-    psnr,
-    synth_content,
-)
+from codec_chain import encode
+from cpdtlab import codec
+from cpdtlab.codec import ContentSpec, decode_plane, estimate_rate, psnr, synth_content
 from cpdtlab.cpdt import (
     MAX_RATIO_BINS,
     RATE_OUT_OF_SPAN,
@@ -108,7 +103,7 @@ class TestSweepMatchesPlainChain:
         plane = _odd_plane()
         curve = build_rd_curve(plane, qps=[0, 17, 30, 51], block_size=block_size)
         for pt in curve.samples:
-            enc = encode_plane(plane, pt.qp, block_size)
+            enc = encode(plane, pt.qp, block_size)
             assert (pt.rate, pt.psnr) == (estimate_rate(enc), psnr(plane, decode_plane(enc)))
 
     @pytest.mark.parametrize("block_size", [4, 8])
@@ -122,15 +117,32 @@ class TestSweepMatchesPlainChain:
             (s, t) for s in qp_s_values for t in qp_t_values
         ]
         for rec in records:
-            source = encode_plane(plane, rec.qp_s, block_size)
+            source = encode(plane, rec.qp_s, block_size)
             recon = decode_plane(source)
-            target = encode_plane(recon, rec.qp_t, block_size)
+            target = encode(recon, rec.qp_t, block_size)
             assert rec.source_rate == estimate_rate(source)
             assert rec.psnr_r == psnr(plane, recon)
             assert rec.target_rate == estimate_rate(target)
             assert rec.psnr_t == psnr(plane, decode_plane(target))
             assert rec.psnr_c == interp_psnr_at_rate(curve, rec.target_rate)
             assert (rec.psnr_c is None) == (rec.flag == RATE_OUT_OF_SPAN)
+
+    def test_one_transform_and_one_scorer_serve_the_plane(self, plane64, monkeypatch):
+        # The direct curve and every source encode quantize one transform of
+        # the plane; each source's reconstruction is transformed once more.
+        calls = {"forward_transform": 0, "_Scorer": 0}
+        forward, scorer_init = codec.forward_transform, codec._Scorer.__init__
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(codec, "forward_transform", counted("forward_transform", forward))
+        monkeypatch.setattr(codec._Scorer, "__init__", counted("_Scorer", scorer_init))
+        full_sweep(plane64, [20, 30], [30])
+        assert calls == {"forward_transform": 3, "_Scorer": 1}
 
     @pytest.mark.parametrize(
         "qp_s, qp_t, block_size",

@@ -12,7 +12,7 @@ import pytest
 
 import cpdtlab
 from cpdtlab.cli import main
-from cpdtlab.pgm import encode_pgm, read_pgm
+from cpdtlab.pgm import _READ_BYTES, encode_pgm, read_pgm
 
 
 @pytest.fixture
@@ -40,6 +40,15 @@ class TestRoundTrip:
         path.write_bytes(encode_pgm(plane))
         back = read_pgm(str(path))
         back[0, 0] = 0  # must not raise (frombuffer alone would be read-only)
+
+    @pytest.mark.parametrize("shape", [(300, 301), (1, 3 * _READ_BYTES + 5)])
+    def test_raster_past_one_read(self, tmp_path, shape):
+        # The raster arrives in several pieces of at most _READ_BYTES.
+        plane = np.random.default_rng(shape[1]).integers(0, 256, size=shape, dtype=np.uint8)
+        assert plane.size > _READ_BYTES
+        path = tmp_path / "a.pgm"
+        path.write_bytes(encode_pgm(plane))
+        assert np.array_equal(read_pgm(str(path)), plane)
 
 
 class TestEncode:
@@ -109,6 +118,16 @@ class TestRead:
             read_pgm(path)
         assert main(["rd-curve", "--input", path, "--out", str(tmp_path / "c.csv")]) == 2
         assert capsys.readouterr().err == "error: malformed or truncated PGM header\n"
+
+    @pytest.mark.parametrize("width, height", [(0, 5), (5, 0)])
+    def test_zero_dimension_is_refused(self, tmp_path, capsys, width, height):
+        path = self._write(tmp_path, b"P5\n%d %d\n255\n" % (width, height))
+        message = f"bad dimensions {width}x{height}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_pgm(path)
+        assert main(["rd-curve", "--input", path, "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "c.csv").exists()
 
     def test_header_number_of_20_digits_is_read(self, tmp_path):
         data = b"P5\n" + b"9" * 20 + b" 1\n255\n" + bytes(4)

@@ -489,6 +489,8 @@ class TestCoefficientDomain:
     def test_validation(self):
         with pytest.raises(ValueError):
             CoefficientDomain(10, 9)
+        with pytest.raises(TypeError, match="^domain bounds must be integers$"):
+            CoefficientDomain(1.5, 3)
 
     def test_size_cap(self):
         # Only sizes are compared: values() of the accepted domain is never built.
