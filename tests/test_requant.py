@@ -1,5 +1,7 @@
 """Requantization analysis: frozen values, independent oracle, properties."""
 
+import hashlib
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -285,6 +287,22 @@ class TestLevelRuns:
         assert q.quantize_scaled(starts).tolist() == levels.tolist()
         assert q.quantize_scaled(starts - 1).tolist() == (levels - 1).tolist()
         assert q.quantize_scaled(-starts).tolist() == (-levels).tolist()
+
+    def test_run_integers_are_pinned(self):
+        # Question 1's exact integers over a fixed grid, int64 and object
+        # paths, both tie-breaks, the 16-bit domain and an int64-edge window:
+        # a refactor of the run tables that moves any sum by 1 fails here.
+        digest = hashlib.sha256()
+        for s, t, offset, tie, domain in itertools.product(
+            (7, 12, "12.5"), (13, "17.1", 24, "12.34567890123456789"), AUDIT_OFFSETS,
+            (TOWARD_ZERO, AWAY_FROM_ZERO), (DEFAULT_DOMAIN, CoefficientDomain(-_I64, -_I64 + 4095)),
+        ):
+            for runs in _runs(Quantizer(s, offset, tie), Quantizer(t, offset, tie), domain):
+                digest.update(f"{runs.error_sum(1)} {runs.error_sum(2)} {runs.max_error()}\n"
+                              .encode())
+        assert digest.hexdigest() == (
+            "4a1c88e2c495f331a18e5c9d6ad24737e13e26a4fedc4558edbefb58cebd452f"
+        )
 
     def test_object_path_quantizes_few_values(self, monkeypatch):
         # Cost follows the runs: about 32768/7 source levels reach the second
