@@ -39,11 +39,12 @@ from .requant import (
     METRICS,
     REFERENCE_TOLERANCE,
     REPORTED_REFERENCE,
+    _runs,
+    _violations,
     boundary_overlap,
     convention_audit,
     error_ratio,
     matches_reference,
-    pointwise_errors,
     sweep_qstep_t,
 )
 from .transform import forward_transform, inverse_transform
@@ -95,10 +96,10 @@ def _check_pointwise_dominance() -> tuple[bool, str]:
     violations = 0
     ratio_below_one = 0
     for qt in _TARGET_STEPS:
-        e_a, e_b, _den = pointwise_errors(q_s, Quantizer(qt))
-        violations += int(np.count_nonzero(e_b < e_a))
-        if int(e_b.sum(dtype=np.int64)) < int(e_a.sum(dtype=np.int64)):
-            ratio_below_one += 1
+        q_t = Quantizer(qt)
+        violations += _violations(q_s, q_t, DEFAULT_DOMAIN)
+        direct, chain = _runs(q_s, q_t, DEFAULT_DOMAIN)
+        ratio_below_one += chain.error_sum(1) < direct.error_sum(1)
     detail = (
         f"{len(_TARGET_STEPS)} target steps x {DEFAULT_DOMAIN.size} coefficients: "
         f"{violations} pointwise violations, {ratio_below_one} cells with ratio < 1"

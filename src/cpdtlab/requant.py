@@ -39,7 +39,6 @@ __all__ = [
     "RequantPoint",
     "OverlapReport",
     "error_ratio",
-    "pointwise_errors",
     "sweep_qstep_t",
     "error_surface",
     "boundary_overlap",
@@ -56,7 +55,7 @@ UNDEFINED_RATIO = "undefined_ratio"
 
 _BOUND_RULE = "domain bounds must lie in +-(2**63 - 1)"
 
-# Largest CoefficientDomain: 16 times the 16-bit default, 8 MB per int64 array.
+# Largest CoefficientDomain, 16x the default: bounds _level_runs at steps near or below 1.
 MAX_DOMAIN_SIZE = 1 << 20
 
 
@@ -65,8 +64,8 @@ class CoefficientDomain:
     """Inclusive integer range of source values to evaluate exhaustively.
 
     At most MAX_DOMAIN_SIZE values, so a typo in a bound fails at once
-    instead of allocating arrays without bound.  Both bounds lie in
-    +-(2**63 - 1): the values are int64, and np.abs wraps -2**63.
+    instead of allocating without bound.  Both bounds lie in +-(2**63 - 1):
+    run starts are int64, and np.abs wraps -2**63.
     """
 
     lo: int
@@ -88,9 +87,6 @@ class CoefficientDomain:
     @property
     def size(self) -> int:
         return self.hi - self.lo + 1
-
-    def values(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi + 1, dtype=np.int64)
 
 
 # Full 16-bit signed coefficient range, sign bit included.
@@ -179,24 +175,6 @@ def _requantizer(q_s: Quantizer, q_t: Quantizer) -> Quantizer:
     return Quantizer(q_t.step / q_s.step, q_t.offset, q_t.tie_break)
 
 
-def pointwise_errors(
-    q_s: Quantizer,
-    q_t: Quantizer,
-    domain: CoefficientDomain = DEFAULT_DOMAIN,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(direct, two-stage) error numerators over the domain plus shared denominator.
-
-    Exact integer numerators; err/den gives the absolute error of each value.
-    One value at a time, where error_ratio goes by level runs: the reference
-    the run sums are checked against.
-    """
-    x = domain.values()
-    chain = _requantizer(q_s, q_t).quantize_scaled(q_s.quantize_scaled(x))
-    e_a = np.abs(_error_numerators(x, q_t.quantize_scaled(x), q_t.step))
-    e_b = np.abs(_error_numerators(x, chain, q_t.step))
-    return e_a, e_b, q_t.step.denominator
-
-
 def _level_runs(q: Quantizer, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """(starts, levels) of the runs of equal q level over the magnitudes a..b,
     0 <= a <= b.
@@ -270,8 +248,8 @@ class _Runs:
         return int(np.abs(self.ends).max())
 
 
-def _runs(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tuple[_Runs, _Runs]:
-    """(direct, two-stage) error runs over the domain.
+def _run_tables(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tuple:
+    """(b, near, direct, two-stage): each chain's (starts, levels) runs of equal target level.
 
     Both quantizers are odd, so an error depends only on |x|: the domain is
     the magnitudes a..b, and those up to `near` count twice, once per sign of
@@ -284,10 +262,38 @@ def _runs(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tuple[_R
     starts, levels = _level_runs(q_s, a, b)
     levels = _requantizer(q_s, q_t).quantize_scaled(levels)
     new = np.concatenate(([True], levels[1:] != levels[:-1]))
-    return (
-        _Runs.over(*_level_runs(q_t, a, b), b, near, q_t.step),
-        _Runs.over(starts[new], levels[new], b, near, q_t.step),
-    )
+    return b, near, _level_runs(q_t, a, b), (starts[new], levels[new])
+
+
+def _runs(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tuple[_Runs, _Runs]:
+    """(direct, two-stage) error runs over the domain."""
+    b, near, *tables = _run_tables(q_s, q_t, domain)
+    return tuple(_Runs.over(*table, b, near, q_t.step) for table in tables)
+
+
+def _violations(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> int:
+    """How many values of the domain have a smaller two-stage than direct error.
+
+    On each piece between the two chains' run starts, the direct level k_a and
+    the chain's k_b are constant.  With target step p/q, |m*q - k_b*p| < |m*q - k_a*p|
+    exactly when m lies strictly on k_b's side of the midpoint (k_a + k_b)*p/(2*q),
+    so each piece counts one interval of magnitudes; equal errors never count.
+    """
+    b, near, (starts_a, k_a), (starts_b, k_b) = _run_tables(q_s, q_t, domain)
+    starts = np.union1d(starts_a, starts_b)
+    k_a = k_a[np.searchsorted(starts_a, starts, "right") - 1]
+    k_b = k_b[np.searchsorted(starts_b, starts, "right") - 1]
+    last = np.append(starts[1:] - 1, b)
+    p, q = q_t.step.numerator, q_t.step.denominator
+    # (k_a + k_b)*p is at most 2*max|k|*p, and the divisor is 2*q.
+    mid2 = _exact_ints(np.stack([k_a, k_b]), 2 * p, 2 * q).sum(axis=0) * p
+    up = k_b > k_a
+    # Up from the least m with 2*m*q > mid2; down to the largest m with 2*m*q < mid2.
+    first = np.where(up, np.maximum(starts, mid2 // (2 * q) + 1), starts)
+    final = np.where(up, last, np.minimum(last, (mid2 - 1) // (2 * q)))
+    # Magnitudes up to near count again; -1 for none keeps the int64 differences in range.
+    n = np.maximum(np.minimum(final, [[b], [max(near, -1)]]) - first + 1, 0)[:, k_a != k_b]
+    return int(n.sum())
 
 
 def error_ratio(

@@ -3,15 +3,19 @@
 The hypothesis strategies run steps from 1/2^80 to 10^25 and offsets with
 denominators up to 10^20, so the products the exact path forms land on both
 sides of int64.  decision_boundaries lists a quantizer's boundaries one by
-one, the reference the closed-form overlap report is checked against.
+one, the reference the closed-form overlap report is checked against, and
+pointwise_errors takes the domain one value at a time, the reference the
+run sums and the violation count are checked against.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 
 from cpdtlab.quantizer import AWAY_FROM_ZERO, TOWARD_ZERO, Quantizer
+from cpdtlab.requant import CoefficientDomain, _error_numerators, _requantizer
 
 
 def decision_boundaries(q: Quantizer, lo: Fraction, hi: Fraction) -> list[Fraction]:
@@ -30,6 +34,19 @@ def decision_boundaries(q: Quantizer, lo: Fraction, hi: Fraction) -> list[Fracti
         return out
 
     return [-b for b in reversed(positive(-hi, -lo))] + positive(lo, hi)
+
+
+def pointwise_errors(
+    q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(direct, two-stage) error numerators of every value in the domain, plus
+    their shared denominator: err/den is the absolute error of each value."""
+    x = np.arange(domain.lo, domain.hi + 1, dtype=np.int64)
+    chain = _requantizer(q_s, q_t).quantize_scaled(q_s.quantize_scaled(x))
+    e_a = np.abs(_error_numerators(x, q_t.quantize_scaled(x), q_t.step))
+    e_b = np.abs(_error_numerators(x, chain, q_t.step))
+    return e_a, e_b, q_t.step.denominator
+
 
 extreme_steps = st.one_of(
     st.integers(min_value=1, max_value=10**25),
