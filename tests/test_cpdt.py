@@ -1,5 +1,6 @@
 """Transcoding harness: RD curves, interpolation, sweeps, aggregation."""
 
+import hashlib
 import math
 import random
 
@@ -23,6 +24,7 @@ from cpdtlab.cpdt import (
     local_minimum_report,
 )
 from cpdtlab.pgm import encode_pgm
+from cpdtlab.quantizer import QP_RANGE
 from cpdtlab.requant import UNDEFINED_RATIO
 from cpdtlab.transform import TRANSFORM_SIZES
 
@@ -143,6 +145,33 @@ class TestSweepMatchesPlainChain:
         monkeypatch.setattr(codec._Scorer, "__init__", counted("_Scorer", scorer_init))
         full_sweep(plane64, [20, 30], [30])
         assert calls == {"forward_transform": 3, "_Scorer": 1}
+
+    def test_codec_integers_are_pinned(self, plane64, monkeypatch):
+        # Every (rate, PSNR) is a float formula of exact integers: a squared-
+        # error sum and a level histogram.  Full sweeps at both block sizes
+        # pin the set of distinct integers the two formulas receive, so a
+        # change that moves one SSE or one count by 1 fails here even where
+        # the CSVs' 6 significant digits hold.
+        seen = set()
+        psnr_from_sse, rate_from_counts = codec._psnr_from_sse, codec._rate_from_counts
+
+        def sse_probe(sse, samples):
+            seen.add(("sse", int(sse), int(samples)))
+            return psnr_from_sse(sse, samples)
+
+        def counts_probe(counts, symbols, samples):
+            seen.add(("counts", tuple(int(c) for c in counts), int(symbols), int(samples)))
+            return rate_from_counts(counts, symbols, samples)
+
+        monkeypatch.setattr(codec, "_psnr_from_sse", sse_probe)
+        monkeypatch.setattr(codec, "_rate_from_counts", counts_probe)
+        plane45 = synth_content(ContentSpec(seed=6, complexity=0.6, width=45, height=29))
+        for plane, block_size in ((plane64, 8), (plane45, 4)):
+            full_sweep(plane, QP_RANGE, QP_RANGE, block_size)
+        digest = hashlib.sha256("\n".join(map(repr, sorted(seen))).encode())
+        assert digest.hexdigest() == (
+            "df0a024afd48ffff1c05d731329e89dddbe29fe580be7f88efefd3224f8f1eee"
+        )
 
     @pytest.mark.parametrize(
         "qp_s, qp_t, block_size",
