@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import secrets
@@ -425,7 +426,10 @@ def _add_quant_flags(parser: argparse.ArgumentParser, include_metric: bool) -> N
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parsing leaves it unchanged, and each
+    handler looks its functions up as module globals when it runs."""
     parser = _Parser(
         prog="cpdtlab",
         description="Requantization error analysis and cascaded transcoding experiments.",

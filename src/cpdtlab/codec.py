@@ -16,8 +16,9 @@ rate-distortion curves.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .transform import (
     COEFF_MAX,
     COEFF_MIN,
     _INVERSE,
+    _blocks,
     _rows,
     _transform_rows,
     forward_transform,
@@ -287,7 +289,13 @@ class _Scorer:
       float32 GEMV sums the squares in chunks of _SSE_CHUNK, each exact below
       2^24, and the chunk sums are added in float64.
 
-    The work buffers live for one score() call.
+    _scores(coeff, qps, pixel_qps) runs the same per-qp body as a generator,
+    and at each qp in pixel_qps it also hands back decode_plane(enc): the
+    clipped pixels, untiled and cropped to the reference's shape as uint8,
+    copied out before the squared error overwrites them.
+
+    The work buffers live as long as one score() call or one _scores()
+    generator.
     """
 
     def __init__(self, reference: np.ndarray, block_size: int):
@@ -297,12 +305,20 @@ class _Scorer:
         by, bx = blocks.shape[:2]
         outside = np.ones((by * block_size, bx * block_size), dtype=bool)
         outside[:h, :w] = False
+        self.shape = (h, w)
         self.samples = h * w
         self.rows = _rows(blocks, np.float32)
         self.padding = np.flatnonzero(_rows(_tile(outside, block_size)))
 
     def score(self, coeff: np.ndarray, qps: Iterable[int]) -> list[tuple[float, float]]:
         """(rate, PSNR) of the coefficient plane at each qp, in order."""
+        return [(rate, db) for rate, db, _ in self._scores(coeff, qps)]
+
+    def _scores(
+        self, coeff: np.ndarray, qps: Iterable[int], pixel_qps: Container[int] = ()
+    ) -> Iterator[tuple[float, float, Optional[np.ndarray]]]:
+        """(rate, PSNR, pixels) of the coefficient plane at each qp, in order;
+        pixels is the uint8 reconstruction at a qp in pixel_qps, else None."""
         block_size = coeff.shape[-1]
         values, counts, gather = _distinct_values(coeff)
         # x is the head of a buffer zero-padded to whole chunks; the tail stays zero.
@@ -313,7 +329,6 @@ class _Scorer:
         ones = np.ones(_SSE_CHUNK, dtype=np.float32)
         new_level = np.empty(values.size, dtype=bool)
         new_level[0] = True
-        scores = []
         for qp in qps:
             levels = _quantize(values, qp, block_size)
             np.not_equal(levels[1:], levels[:-1], out=new_level[1:])
@@ -323,12 +338,14 @@ class _Scorer:
             np.take(table, gather, out=x, mode="clip")
             _transform_rows(x, work, _INVERSE, bias=_MID_GREY)
             np.clip(x, 0, PIXEL_MAX, out=x)
+            pixels = None
+            if qp in pixel_qps:
+                pixels = _untile(_blocks(x, coeff.shape).astype(np.uint8), *self.shape)
             x -= self.rows
             np.square(x, out=x)
             buffer[self.padding] = 0.0
             sse = int(np.sum(chunks @ ones, dtype=np.float64))
-            scores.append((rate, _psnr_from_sse(sse, self.samples)))
-        return scores
+            yield rate, _psnr_from_sse(sse, self.samples), pixels
 
 
 def synth_content(spec: ContentSpec) -> np.ndarray:

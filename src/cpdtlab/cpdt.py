@@ -25,16 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codec import (
-    DEFAULT_BLOCK_SIZE,
-    _Scorer,
-    _transform_plane,
-    decode_plane,
-    encode_plane,
-    estimate_rate,
-    psnr,
-)
-from .quantizer import QP_RANGE
+from .codec import DEFAULT_BLOCK_SIZE, _Scorer, _transform_plane
+
+# Unused here: perfbench/tracer.py wraps these four names on this module.
+from .codec import decode_plane, encode_plane, estimate_rate, psnr  # noqa: F401
+from .quantizer import QP_RANGE, qp_to_qstep
 from .requant import UNDEFINED_RATIO
 
 __all__ = [
@@ -126,10 +121,8 @@ class LocalMinimumRow:
     delta_at_qp_s: float
 
 
-def _rd_curve(scorer: _Scorer, coeff: np.ndarray, qps: Sequence[int]) -> RDCurve:
-    """The RD curve of the scorer's reference plane, read off that plane's
-    coefficients at qps (sorted and distinct)."""
-    samples = [RDPoint(qp, rate, db) for qp, (rate, db) in zip(qps, scorer.score(coeff, qps))]
+def _rd_curve(samples: Sequence[RDPoint]) -> RDCurve:
+    """The RD curve of one plane's samples, ordered by qp."""
     # By rate, best PSNR first (a stable sort: ties keep the lowest qp); a
     # point is kept when its PSNR beats the last point kept.
     cleaned: list[RDPoint] = []
@@ -148,8 +141,8 @@ def build_rd_curve(
     qps = sorted(set(qps))
     if not qps:
         raise ValueError("need at least one qp")
-    coeff = _transform_plane(plane, block_size)
-    return _rd_curve(_Scorer(plane, block_size), coeff, qps)
+    scores = _Scorer(plane, block_size).score(_transform_plane(plane, block_size), qps)
+    return _rd_curve([RDPoint(qp, rate, db) for qp, (rate, db) in zip(qps, scores)])
 
 
 def interp_psnr_at_rate(curve: RDCurve, rate: float) -> Optional[float]:
@@ -185,29 +178,37 @@ def full_sweep(
 
     Cost model.  Once per sweep the plane is transformed and one scorer
     built (codec._Scorer, which tiles the plane into the transform's (row,
-    col, block) layout as the PSNR reference); the scorer reads the direct
-    curve off those coefficients at every qp.  Once per qp_s the same
-    coefficients are quantized into the source, which is decoded through
-    decode_plane (its pixels are the transcoder's input) and scored, and its
-    reconstruction is forward-transformed; the distinct values of those
-    coefficients, their counts and a gather index are then found in O(plane
-    size).  Once per (qp_s, qp_t) pair only the distinct values are quantized
-    and dequantized, the rate is read from their merged counts, and one
-    gather, one in-place inverse transform (a flat GEMM, then a stack of N)
-    and one exact squared-error sum (one GEMV over chunks) give the PSNR
-    (codec._Scorer).  These passes run in float32, exact on the 16-bit
-    dequantized values, so each moves half the bytes of float64.  The pair's
-    work buffers live for one qp_s, so no two sources hold them at once.
+    col, block) layout as the PSNR reference).  One scorer pass over QP_RANGE
+    reads the direct curve off those coefficients, and each source is a
+    sample of that pass: its rate and PSNR are the curve's sample at qp_s,
+    and at each requested qp_s the pass hands back the source's uint8
+    reconstruction, the transcoder's input.  The reconstruction is
+    forward-transformed and its targets are scored right there, before the
+    pass goes on, so at most one source's pixels and target buffers exist at
+    a time.  Per source, the distinct values of the reconstruction's
+    coefficients, their counts and a gather index are found in O(plane
+    size).  Once per (qp_s, qp_t) pair only the distinct values are
+    quantized and dequantized, the rate is read from their merged counts,
+    and one gather, one in-place inverse transform (a flat GEMM, then a
+    stack of N) and one exact squared-error sum (one GEMV over chunks) give
+    the PSNR (codec._Scorer).  These passes run in float32, exact on the
+    16-bit dequantized values, so each moves half the bytes of float64.
     """
+    wanted = set(qp_s_values)
+    for qp_s in wanted:
+        qp_to_qstep(qp_s)  # the one qp rule, before any work
     coeff = _transform_plane(plane, block_size)
     scorer = _Scorer(plane, block_size)
-    direct_curve = _rd_curve(scorer, coeff, QP_RANGE)
+    samples, sources = [], {}
+    for qp, (rate, db, recon) in zip(QP_RANGE, scorer._scores(coeff, QP_RANGE, wanted)):
+        samples.append(RDPoint(qp, rate, db))
+        if recon is not None:
+            targets = scorer.score(_transform_plane(recon, block_size), qp_t_values)
+            sources[qp] = (rate, db, targets)
+    direct_curve = _rd_curve(samples)
     records = []
     for qp_s in qp_s_values:
-        source = encode_plane(coeff, qp_s, np.shape(plane))
-        recon = decode_plane(source)
-        source_rate, psnr_r = estimate_rate(source), psnr(plane, recon)
-        targets = scorer.score(_transform_plane(recon, block_size), qp_t_values)
+        source_rate, psnr_r, targets = sources[qp_s]
         for qp_t, (target_rate, psnr_t) in zip(qp_t_values, targets):
             ratio = psnr_c = flag = None
             if source_rate == 0.0:

@@ -1,15 +1,20 @@
 """Command-line interface: parsing, exit codes, CSV layout, determinism."""
 
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpdtlab
 from cpdtlab import acceptance
 from cpdtlab.cli import (
     MAX_RANGE_VALUES,
+    _build_parser,
     _create_staging,
     _domain_arg,
     _fmt,
@@ -521,6 +526,26 @@ class TestRdCurve:
         assert [r.split(",")[0] for r in rows[1:]] == ["20", "25", "30"]
         rates = [float(r.split(",")[1]) for r in rows[1:]]
         assert rates[0] > rates[1] > rates[2]
+
+
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_path, capsys):
+        # main builds its parser once per process: a usage error and
+        # --version before a run leave nothing that changes its output.
+        pgm = tmp_path / "p.pgm"
+        pgm.write_bytes(encode_pgm(np.arange(20 * 12, dtype=np.uint8).reshape(20, 12)))
+        argv = ["rd-curve", "--input", str(pgm), "--qp", "20:30:5", "--out"]
+        assert main(["rd-curve", "--input", str(pgm), "--qp", "52", "--out", "x.csv"]) == 1
+        assert main(["--version"]) == 0
+        assert main(argv + [str(tmp_path / "warm.csv")]) == 0
+        assert _build_parser() is _build_parser()
+        src = str(Path(cpdtlab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpdtlab.cli", *argv, str(tmp_path / "fresh.csv")],
+            capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 class TestCpdtSweep:

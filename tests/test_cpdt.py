@@ -96,6 +96,25 @@ def _odd_plane():
     return synth_content(ContentSpec(seed=8, complexity=0.7, width=37, height=22))
 
 
+def _check_plain_chain_records(plane, qp_s_values, qp_t_values, block_size):
+    """full_sweep's records equal the plain chain's, run afresh for every pair."""
+    curve = build_rd_curve(plane, block_size=block_size)
+    records = full_sweep(plane, qp_s_values, qp_t_values, block_size)
+    assert [(r.qp_s, r.qp_t) for r in records] == [
+        (s, t) for s in qp_s_values for t in qp_t_values
+    ]
+    for rec in records:
+        source = encode(plane, rec.qp_s, block_size)
+        recon = decode_plane(source)
+        target = encode(recon, rec.qp_t, block_size)
+        assert rec.source_rate == estimate_rate(source)
+        assert rec.psnr_r == psnr(plane, recon)
+        assert rec.target_rate == estimate_rate(target)
+        assert rec.psnr_t == psnr(plane, decode_plane(target))
+        assert rec.psnr_c == interp_psnr_at_rate(curve, rec.target_rate)
+        assert (rec.psnr_c is None) == (rec.flag == RATE_OUT_OF_SPAN)
+
+
 class TestSweepMatchesPlainChain:
     """The sweep shares the transform across qps; its numbers must equal the
     plain encode/decode/rate/PSNR chain run afresh for every qp."""
@@ -111,23 +130,32 @@ class TestSweepMatchesPlainChain:
     @pytest.mark.parametrize("block_size", [4, 8])
     def test_sweep_records(self, block_size):
         # psnr_c is read off the plane's own curve at the sweep's block size.
-        plane = _odd_plane()
-        curve = build_rd_curve(plane, block_size=block_size)
-        qp_s_values, qp_t_values = [12, 31], [0, 12, 30, 33, 51]
-        records = full_sweep(plane, qp_s_values, qp_t_values, block_size)
-        assert [(r.qp_s, r.qp_t) for r in records] == [
-            (s, t) for s in qp_s_values for t in qp_t_values
-        ]
-        for rec in records:
-            source = encode(plane, rec.qp_s, block_size)
-            recon = decode_plane(source)
-            target = encode(recon, rec.qp_t, block_size)
-            assert rec.source_rate == estimate_rate(source)
-            assert rec.psnr_r == psnr(plane, recon)
-            assert rec.target_rate == estimate_rate(target)
-            assert rec.psnr_t == psnr(plane, decode_plane(target))
-            assert rec.psnr_c == interp_psnr_at_rate(curve, rec.target_rate)
-            assert (rec.psnr_c is None) == (rec.flag == RATE_OUT_OF_SPAN)
+        _check_plain_chain_records(_odd_plane(), [12, 31], [0, 12, 30, 33, 51], block_size)
+
+    @pytest.mark.parametrize("block_size", [4, 8])
+    @pytest.mark.parametrize("qp_s_values", [[30, 12, 30], []], ids=["repeated", "empty"])
+    def test_repeated_and_empty_source_lists(self, qp_s_values, block_size):
+        # Each listed qp_s gives its records in list order, once per listing.
+        _check_plain_chain_records(_odd_plane(), qp_s_values, [0, 30, 51], block_size)
+
+    @pytest.mark.parametrize("block_size", [4, 8])
+    @pytest.mark.parametrize(
+        "plane", [_odd_plane(), np.full((13, 11), 200, np.uint8)], ids=["odd", "constant"]
+    )
+    def test_scorer_hands_back_the_decoded_source(self, plane, block_size):
+        # The pixels the scorer hands back are decode_plane's, byte for byte,
+        # at every qp, and come with the same (rate, PSNR) as score().
+        coeff = codec._transform_plane(plane, block_size)
+        scorer = codec._Scorer(plane, block_size)
+        passes = list(scorer._scores(coeff, QP_RANGE, set(QP_RANGE)))
+        assert [(rate, db) for rate, db, _ in passes] == scorer.score(coeff, QP_RANGE)
+        for qp, (_, _, pixels) in zip(QP_RANGE, passes):
+            expected = decode_plane(codec.encode_plane(coeff, qp, plane.shape))
+            assert pixels.dtype == np.uint8
+            assert pixels.shape == plane.shape
+            assert pixels.tobytes() == expected.tobytes()
+        chosen = [rec is not None for _, _, rec in scorer._scores(coeff, QP_RANGE, {0, 51})]
+        assert chosen == [qp in (0, 51) for qp in QP_RANGE]
 
     def test_one_transform_and_one_scorer_serve_the_plane(self, plane64, monkeypatch):
         # The direct curve and every source encode quantize one transform of

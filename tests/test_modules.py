@@ -38,7 +38,9 @@ def test_tracer_targets_resolve(tracer):
 
 
 def test_sweep_runs_through_the_traced_layers(tracer):
-    # The per-layer metrics need these wrapped functions on the sweep's path.
+    # The sweep reads its sources off the scorer's direct-curve pass: the
+    # plane and each reconstruction are forward-transformed, and the plain
+    # codec chain and the plain inverse transform stay off its path.
     plane = np.arange(16 * 12, dtype=np.uint8).reshape(16, 12)
     spans = tracer.Tracer()
     spans.install()
@@ -47,5 +49,6 @@ def test_sweep_runs_through_the_traced_layers(tracer):
     finally:
         spans.uninstall()
     seen = {span[0] for span in spans.spans}
-    assert {"codec.encode_plane", "codec.decode_plane", "codec.estimate_rate", "codec.psnr",
-            "transform.forward", "transform.inverse"} <= seen
+    assert "transform.forward" in seen
+    assert not seen & {"codec.encode_plane", "codec.decode_plane", "codec.estimate_rate",
+                       "codec.psnr", "transform.inverse"}
