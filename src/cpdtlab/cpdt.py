@@ -203,8 +203,7 @@ def full_sweep(
     for qp, (rate, db, recon) in zip(QP_RANGE, scorer._scores(coeff, QP_RANGE, wanted)):
         samples.append(RDPoint(qp, rate, db))
         if recon is not None:
-            targets = scorer.score(_transform_plane(recon, block_size), qp_t_values)
-            sources[qp] = (rate, db, targets)
+            sources[qp] = (rate, db, scorer.score(_transform_plane(recon, block_size), qp_t_values))
     direct_curve = _rd_curve(samples)
     records = []
     for qp_s in qp_s_values:
