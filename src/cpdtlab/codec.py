@@ -26,6 +26,7 @@ from .quantizer import qp_to_qstep
 from .transform import (
     COEFF_MAX,
     COEFF_MIN,
+    _FORWARD,
     _INVERSE,
     _blocks,
     _rows,
@@ -241,8 +242,9 @@ def psnr(reference: np.ndarray, test: np.ndarray) -> float:
 
 
 def _distinct_values(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values of an integer block array in ascending order, their
-    counts, and each value's index among them in the (row, col, block) layout.
+    """The distinct values of a block array of integers (of an integer dtype,
+    or exact in float32) in ascending order, as intp, their counts, and each
+    value's index among them in the (row, col, block) layout.
 
     One sort finds the values.  The indices come through a table over the
     value span that is written only at the distinct values, so no step costs
@@ -253,7 +255,9 @@ def _distinct_values(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    values, counts = ordered[starts], np.diff(starts, append=ordered.size)
+    values, counts = ordered[starts], np.empty_like(starts)
+    counts[:-1] = starts[1:] - starts[:-1]
+    counts[-1] = ordered.size - starts[-1]
     lowest = values[0]
     table = np.empty(values[-1] - lowest + 1, dtype=np.intp)
     table[values - lowest] = np.arange(values.size)
@@ -289,36 +293,50 @@ class _Scorer:
       float32 GEMV sums the squares in chunks of _SSE_CHUNK, each exact below
       2^24, and the chunk sums are added in float64.
 
-    _scores(coeff, qps, pixel_qps) runs the same per-qp body as a generator,
-    and at each qp in pixel_qps it also hands back decode_plane(enc): the
-    clipped pixels, untiled and cropped to the reference's shape as uint8,
-    copied out before the squared error overwrites them.
+    _scores(coeff, qps, source_qps) runs the same per-qp body as a generator,
+    and at each qp in source_qps it also hands back the reconstruction's
+    coefficient plane, _transform_plane(decode_plane(enc), N), as an
+    (by, bx, N, N) float32 view that score() and _scores() take like any
+    other coefficient plane.  It is built from the clipped rows before the
+    squared error overwrites them, and it is exact:
+
+    - the clipped rows hold decode_plane's pixels, integers in [0, 255];
+    - one gather through a replicate index, built once per scorer, copies
+      each padding position from the edge sample _tile would copy there (a
+      plane of whole blocks has no padding, and a plain copy does);
+    - the pixels minus _MID_GREY lie in [-128, 127], inside the forward
+      transform's domain;
+    - _transform_rows(..., _FORWARD) is the body forward_transform runs on
+      the same float32 values, and its outputs are integers.
 
     The work buffers live as long as one score() call or one _scores()
-    generator.
+    generator; a handed-back plane lives as long as its caller holds it.
     """
 
     def __init__(self, reference: np.ndarray, block_size: int):
         plane = _check_plane(reference, "reference")
         h, w = plane.shape
         blocks = _tile(plane, block_size)
-        by, bx = blocks.shape[:2]
-        outside = np.ones((by * block_size, bx * block_size), dtype=bool)
-        outside[:h, :w] = False
         self.shape = (h, w)
         self.samples = h * w
         self.rows = _rows(blocks, np.float32)
-        self.padding = np.flatnonzero(_rows(_tile(outside, block_size)))
+        # The layout position of the sample _tile copies to each position:
+        # itself inside the plane, an edge sample in the padding.
+        layout = np.arange(self.rows.size).reshape(self.rows.shape)
+        replicate = _rows(_tile(_untile(_blocks(layout, blocks.shape), h, w), block_size))
+        self.padding = np.flatnonzero(replicate != layout)
+        self.replicate = replicate if self.padding.size else None
 
     def score(self, coeff: np.ndarray, qps: Iterable[int]) -> list[tuple[float, float]]:
         """(rate, PSNR) of the coefficient plane at each qp, in order."""
         return [(rate, db) for rate, db, _ in self._scores(coeff, qps)]
 
     def _scores(
-        self, coeff: np.ndarray, qps: Iterable[int], pixel_qps: Container[int] = ()
+        self, coeff: np.ndarray, qps: Iterable[int], source_qps: Container[int] = ()
     ) -> Iterator[tuple[float, float, Optional[np.ndarray]]]:
-        """(rate, PSNR, pixels) of the coefficient plane at each qp, in order;
-        pixels is the uint8 reconstruction at a qp in pixel_qps, else None."""
+        """(rate, PSNR, source) of the coefficient plane at each qp, in order;
+        source is the reconstruction's coefficient plane at a qp in
+        source_qps, else None."""
         block_size = coeff.shape[-1]
         values, counts, gather = _distinct_values(coeff)
         # x is the head of a buffer zero-padded to whole chunks; the tail stays zero.
@@ -338,14 +356,17 @@ class _Scorer:
             np.take(table, gather, out=x, mode="clip")
             _transform_rows(x, work, _INVERSE, bias=_MID_GREY)
             np.clip(x, 0, PIXEL_MAX, out=x)
-            pixels = None
-            if qp in pixel_qps:
-                pixels = _untile(_blocks(x, coeff.shape).astype(np.uint8), *self.shape)
+            source = None
+            if qp in source_qps:
+                y = x.copy() if self.replicate is None else np.take(x, self.replicate)
+                y -= _MID_GREY
+                _transform_rows(y, work, _FORWARD)
+                source = _blocks(y, coeff.shape)
             x -= self.rows
             np.square(x, out=x)
             buffer[self.padding] = 0.0
             sse = int(np.sum(chunks @ ones, dtype=np.float64))
-            yield rate, _psnr_from_sse(sse, self.samples), pixels
+            yield rate, _psnr_from_sse(sse, self.samples), source
 
 
 def synth_content(spec: ContentSpec) -> np.ndarray:

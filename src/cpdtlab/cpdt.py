@@ -176,23 +176,25 @@ def full_sweep(
     The direct curve is the plane's own RD curve over QP_RANGE at the sweep's
     block size; no curve from another plane or block size can enter.
 
-    Cost model.  Once per sweep the plane is transformed and one scorer
-    built (codec._Scorer, which tiles the plane into the transform's (row,
-    col, block) layout as the PSNR reference).  One scorer pass over QP_RANGE
-    reads the direct curve off those coefficients, and each source is a
-    sample of that pass: its rate and PSNR are the curve's sample at qp_s,
-    and at each requested qp_s the pass hands back the source's uint8
-    reconstruction, the transcoder's input.  The reconstruction is
-    forward-transformed and its targets are scored right there, before the
-    pass goes on, so at most one source's pixels and target buffers exist at
-    a time.  Per source, the distinct values of the reconstruction's
-    coefficients, their counts and a gather index are found in O(plane
-    size).  Once per (qp_s, qp_t) pair only the distinct values are
+    Cost model.  Once per sweep the plane is forward-transformed and one
+    scorer built (codec._Scorer, which tiles the plane into the transform's
+    (row, col, block) layout as the PSNR reference).  One scorer pass over
+    QP_RANGE reads the direct curve off those coefficients, and each source
+    is a sample of that pass: its rate and PSNR are the curve's sample at
+    qp_s, and at each requested qp_s the pass hands back the source's
+    coefficients, the transcoder's input.  The pass builds them from its own
+    clipped pixel rows, in the layout they are already in: one edge-padding
+    gather, one centring subtraction and one in-place forward transform (a
+    flat GEMM, then a stack of N).  The source's targets are scored right
+    there, before the pass goes on, so at most one source's coefficients
+    and target buffers exist at a time.  Per source, the distinct
+    coefficient values, their counts and a gather index are found in
+    O(plane size).  Once per (qp_s, qp_t) pair only the distinct values are
     quantized and dequantized, the rate is read from their merged counts,
-    and one gather, one in-place inverse transform (a flat GEMM, then a
-    stack of N) and one exact squared-error sum (one GEMV over chunks) give
-    the PSNR (codec._Scorer).  These passes run in float32, exact on the
-    16-bit dequantized values, so each moves half the bytes of float64.
+    and one gather, one in-place inverse transform and one exact
+    squared-error sum (one GEMV over chunks) give the PSNR (codec._Scorer).
+    These passes run in float32, exact on the 16-bit dequantized values, so
+    each moves half the bytes of float64.
     """
     wanted = set(qp_s_values)
     for qp_s in wanted:
@@ -200,10 +202,10 @@ def full_sweep(
     coeff = _transform_plane(plane, block_size)
     scorer = _Scorer(plane, block_size)
     samples, sources = [], {}
-    for qp, (rate, db, recon) in zip(QP_RANGE, scorer._scores(coeff, QP_RANGE, wanted)):
+    for qp, (rate, db, source) in zip(QP_RANGE, scorer._scores(coeff, QP_RANGE, wanted)):
         samples.append(RDPoint(qp, rate, db))
-        if recon is not None:
-            sources[qp] = (rate, db, scorer.score(_transform_plane(recon, block_size), qp_t_values))
+        if source is not None:
+            sources[qp] = (rate, db, scorer.score(source, qp_t_values))
     direct_curve = _rd_curve(samples)
     records = []
     for qp_s in qp_s_values:

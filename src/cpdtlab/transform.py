@@ -25,7 +25,9 @@ M @ rows.  The second multiplies every block from the right by M'; on the
 of N GEMMs.  So both passes of a direction multiply by one matrix from the
 left: the forward's, and the inverse's transpose.  One routine runs the two
 passes of either direction in place on buffers the caller owns, for
-forward_transform, inverse_transform and codec's target kernel alike.
+forward_transform, inverse_transform, codec's target kernel (inverse) and
+codec's source hand-back (forward, on the kernel's own clipped pixels less
+128) alike.
 
 Each pass's rounded right shift (x + 2^(s-1)) >> s is folded into its GEMM
 operand: the operand is the matrix times 2^-s, so the GEMM gives x * 2^-s,

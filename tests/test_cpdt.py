@@ -140,26 +140,38 @@ class TestSweepMatchesPlainChain:
 
     @pytest.mark.parametrize("block_size", [4, 8])
     @pytest.mark.parametrize(
-        "plane", [_odd_plane(), np.full((13, 11), 200, np.uint8)], ids=["odd", "constant"]
+        "plane",
+        [
+            _odd_plane(),
+            np.full((13, 11), 200, np.uint8),
+            np.full((1, 1), 90, np.uint8),
+            synth_content(ContentSpec(seed=9, complexity=0.8, width=13, height=3)),
+        ],
+        ids=["odd", "constant", "1x1", "narrow"],
     )
     def test_scorer_hands_back_the_decoded_source(self, plane, block_size):
-        # The pixels the scorer hands back are decode_plane's, byte for byte,
-        # at every qp, and come with the same (rate, PSNR) as score().
+        # The coefficients the scorer hands back are those of decode_plane's
+        # pixels, padded as _tile pads them, value for value at every qp;
+        # they come with the same (rate, PSNR) as score(), and score as the
+        # reference does.
         coeff = codec._transform_plane(plane, block_size)
         scorer = codec._Scorer(plane, block_size)
         passes = list(scorer._scores(coeff, QP_RANGE, set(QP_RANGE)))
         assert [(rate, db) for rate, db, _ in passes] == scorer.score(coeff, QP_RANGE)
-        for qp, (_, _, pixels) in zip(QP_RANGE, passes):
-            expected = decode_plane(codec.encode_plane(coeff, qp, plane.shape))
-            assert pixels.dtype == np.uint8
-            assert pixels.shape == plane.shape
-            assert pixels.tobytes() == expected.tobytes()
-        chosen = [rec is not None for _, _, rec in scorer._scores(coeff, QP_RANGE, {0, 51})]
+        for qp, (_, _, source) in zip(QP_RANGE, passes):
+            recon = decode_plane(codec.encode_plane(coeff, qp, plane.shape))
+            expected = codec._transform_plane(recon, block_size)
+            assert source.shape == expected.shape
+            assert np.array_equal(source, expected)
+            qps = [0, 22, qp, 37, 51]
+            assert scorer.score(source, qps) == scorer.score(expected, qps)
+        chosen = [src is not None for _, _, src in scorer._scores(coeff, QP_RANGE, {0, 51})]
         assert chosen == [qp in (0, 51) for qp in QP_RANGE]
 
     def test_one_transform_and_one_scorer_serve_the_plane(self, plane64, monkeypatch):
         # The direct curve and every source encode quantize one transform of
-        # the plane; each source's reconstruction is transformed once more.
+        # the plane; the scorer hands back each source's coefficients from
+        # its own pixel rows, so forward_transform runs for the plane alone.
         calls = {"forward_transform": 0, "_Scorer": 0}
         forward, scorer_init = codec.forward_transform, codec._Scorer.__init__
 
@@ -172,7 +184,7 @@ class TestSweepMatchesPlainChain:
         monkeypatch.setattr(codec, "forward_transform", counted("forward_transform", forward))
         monkeypatch.setattr(codec._Scorer, "__init__", counted("_Scorer", scorer_init))
         full_sweep(plane64, [20, 30], [30])
-        assert calls == {"forward_transform": 3, "_Scorer": 1}
+        assert calls == {"forward_transform": 1, "_Scorer": 1}
 
     def test_codec_integers_are_pinned(self, plane64, monkeypatch):
         # Every (rate, PSNR) is a float formula of exact integers: a squared-
