@@ -149,17 +149,6 @@ def _untile(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
     return full[:height, :width]
 
 
-def _transform_plane(plane: np.ndarray, block_size: int) -> np.ndarray:
-    """Tile a uint8 plane, center it by _MID_GREY and forward-transform every block.
-
-    The coefficients do not depend on qp, so a caller scoring one plane at
-    many qps transforms it once.
-    """
-    plane = _check_plane(plane)
-    orthonormal_gain(block_size)  # the size check, before _tile divides by it
-    return forward_transform(_tile(plane, block_size).astype(np.int16) - _MID_GREY)
-
-
 def _quantize(coeff: np.ndarray, qp: int, block_size: int) -> np.ndarray:
     """The dead-zone law sign(c) * floor(|c| / step + offset), as int32 levels."""
     # In place on one float array.
@@ -178,7 +167,7 @@ def _dequantize(levels: np.ndarray, qp: int, block_size: int) -> np.ndarray:
 
 
 def encode_plane(coeff: np.ndarray, qp: int, shape: tuple[int, int]) -> EncodedPlane:
-    """Quantize the _transform_plane coefficients of a plane of `shape` at qp.
+    """Quantize the (blocks_y, blocks_x, N, N) coefficients of a plane of `shape` at qp.
 
     Quantization is the dead-zone law level = sign(c) * floor(|c|/step + 1/3)
     on the integer transform coefficients; the step follows coeff_qstep(qp, N)
@@ -242,9 +231,9 @@ def psnr(reference: np.ndarray, test: np.ndarray) -> float:
 
 
 def _distinct_values(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values of a block array of integers (of an integer dtype,
-    or exact in float32) in ascending order, as intp, their counts, and each
-    value's index among them in the (row, col, block) layout.
+    """The distinct values of (N, N * blocks) rows of integers (of an integer
+    dtype, or exact in float32) in ascending order, as intp, their counts,
+    and each value's index among them, in the rows' layout.
 
     One sort finds the values.  The indices come through a table over the
     value span that is written only at the distinct values, so no step costs
@@ -261,7 +250,7 @@ def _distinct_values(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     lowest = values[0]
     table = np.empty(values[-1] - lowest + 1, dtype=np.intp)
     table[values - lowest] = np.arange(values.size)
-    offsets = _rows(coeff, np.intp)
+    offsets = coeff.astype(np.intp)
     offsets -= lowest
     return values, counts, np.take(table, offsets)
 
@@ -272,72 +261,78 @@ _SSE_CHUNK = 256
 
 
 class _Scorer:
-    """Rate and PSNR of coefficient planes against one reference plane.
+    """Rate and PSNR of coefficient rows against the one plane it owns.
+
+    It checks the block size and the plane, tiles the plane once into the
+    transform's (row, col, block) layout, and holds the plane's coefficient
+    rows, coeff, from one forward_transform.  Coefficients go in and come
+    out as (N, N * blocks) rows in that layout (transform._rows of blocks).
 
     score(coeff, qps) gives, for each qp, exactly the pair
-    (estimate_rate(enc), psnr(reference, decode_plane(enc))) with
-    enc = encode_plane(coeff, qp, reference.shape), but quantizes and
-    dequantizes only the distinct coefficient values.  The same float
-    formulas run on the same values, so:
+    (estimate_rate(enc), psnr(plane, decode_plane(enc))), enc being the
+    encode_plane of coeff's blocks at qp, but quantizes and dequantizes only
+    the distinct coefficient values.  The same float formulas run on the
+    same values, so:
 
-    - the dequantized values, gathered as float32 into the transform's
-      (row, col, block) layout, give decode_plane's pixels: they are clipped
-      to 16 bits, where the float32 inverse is exact (see transform), and
-      +_MID_GREY is folded into the last shift;
+    - the dequantized values, gathered as float32 into the rows, give
+      decode_plane's pixels: they are clipped to 16 bits, where the float32
+      inverse is exact (see transform), and +_MID_GREY is folded into the
+      last shift;
     - the dead-zone law is monotone, so merging the counts of neighbouring
       values with equal levels gives the level histogram in ascending level
       order, the order estimate_rate sums it in;
-    - the squared error is an exact integer sum against the reference, tiled
-      once into the same layout as float32 with the padding samples zeroed:
-      each difference is at most 255, so its square is exact in float32; one
-      float32 GEMV sums the squares in chunks of _SSE_CHUNK, each exact below
-      2^24, and the chunk sums are added in float64.
+    - the squared error is an exact integer sum against the plane's rows,
+      held as float32 with the padding samples zeroed: each difference is
+      at most 255, so its square is exact in float32; one float32 GEMV sums
+      the squares in chunks of _SSE_CHUNK, each exact below 2^24, and the
+      chunk sums are added in float64.
 
     _scores(coeff, qps, source_qps) runs the same per-qp body as a generator,
     and at each qp in source_qps it also hands back the reconstruction's
-    coefficient plane, _transform_plane(decode_plane(enc), N), as an
-    (by, bx, N, N) float32 view that score() and _scores() take like any
-    other coefficient plane.  It is built from the clipped rows before the
-    squared error overwrites them, and it is exact:
+    coefficient rows: those of decode_plane(enc), tiled, centred and
+    forward-transformed, as float32 rows that score() and _scores() take
+    like any other.  They are built from the clipped rows before the
+    squared error overwrites them, and they are exact:
 
     - the clipped rows hold decode_plane's pixels, integers in [0, 255];
-    - one gather through a replicate index, built once per scorer, copies
-      each padding position from the edge sample _tile would copy there (a
-      plane of whole blocks has no padding, and a plain copy does);
-    - the pixels minus _MID_GREY lie in [-128, 127], inside the forward
-      transform's domain;
+    - subtracting _MID_GREY out of place leaves float32 values in
+      [-128, 127], inside the forward transform's domain;
+    - one scatter copies into each padding position the edge sample _tile
+      copies there (edges, built once per scorer, holds one index per
+      padding position; a plane of whole blocks has none);
     - _transform_rows(..., _FORWARD) is the body forward_transform runs on
       the same float32 values, and its outputs are integers.
 
     The work buffers live as long as one score() call or one _scores()
-    generator; a handed-back plane lives as long as its caller holds it.
+    generator; handed-back rows live as long as their caller holds them.
     """
 
-    def __init__(self, reference: np.ndarray, block_size: int):
-        plane = _check_plane(reference, "reference")
+    def __init__(self, plane: np.ndarray, block_size: int):
+        orthonormal_gain(block_size)  # the size check, before _tile divides by it
+        plane = _check_plane(plane)
         h, w = plane.shape
         blocks = _tile(plane, block_size)
-        self.shape = (h, w)
         self.samples = h * w
         self.rows = _rows(blocks, np.float32)
-        # The layout position of the sample _tile copies to each position:
+        self.coeff = _rows(forward_transform(blocks.astype(np.int16) - _MID_GREY))
+        # The rows position of the sample _tile copies to each position:
         # itself inside the plane, an edge sample in the padding.
         layout = np.arange(self.rows.size).reshape(self.rows.shape)
         replicate = _rows(_tile(_untile(_blocks(layout, blocks.shape), h, w), block_size))
         self.padding = np.flatnonzero(replicate != layout)
-        self.replicate = replicate if self.padding.size else None
+        self.edges = replicate.ravel()[self.padding]
 
     def score(self, coeff: np.ndarray, qps: Iterable[int]) -> list[tuple[float, float]]:
-        """(rate, PSNR) of the coefficient plane at each qp, in order."""
+        """(rate, PSNR) of the coefficient rows at each qp, in order."""
         return [(rate, db) for rate, db, _ in self._scores(coeff, qps)]
 
     def _scores(
         self, coeff: np.ndarray, qps: Iterable[int], source_qps: Container[int] = ()
     ) -> Iterator[tuple[float, float, Optional[np.ndarray]]]:
-        """(rate, PSNR, source) of the coefficient plane at each qp, in order;
-        source is the reconstruction's coefficient plane at a qp in
+        """(rate, PSNR, source) of the coefficient rows at each qp, in order;
+        source is the reconstruction's coefficient rows at a qp in
         source_qps, else None."""
-        block_size = coeff.shape[-1]
+        block_size = coeff.shape[0]
         values, counts, gather = _distinct_values(coeff)
         # x is the head of a buffer zero-padded to whole chunks; the tail stays zero.
         buffer = np.zeros(-(-gather.size // _SSE_CHUNK) * _SSE_CHUNK, dtype=np.float32)
@@ -358,10 +353,10 @@ class _Scorer:
             np.clip(x, 0, PIXEL_MAX, out=x)
             source = None
             if qp in source_qps:
-                y = x.copy() if self.replicate is None else np.take(x, self.replicate)
-                y -= _MID_GREY
-                _transform_rows(y, work, _FORWARD)
-                source = _blocks(y, coeff.shape)
+                source = x - _MID_GREY
+                flat = source.reshape(-1)
+                flat[self.padding] = flat[self.edges]
+                _transform_rows(source, work, _FORWARD)
             x -= self.rows
             np.square(x, out=x)
             buffer[self.padding] = 0.0

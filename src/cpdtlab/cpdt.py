@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codec import DEFAULT_BLOCK_SIZE, _Scorer, _transform_plane
+from .codec import DEFAULT_BLOCK_SIZE, _Scorer
 
 # Unused here: perfbench/tracer.py wraps these four names on this module.
 from .codec import decode_plane, encode_plane, estimate_rate, psnr  # noqa: F401
@@ -141,7 +141,8 @@ def build_rd_curve(
     qps = sorted(set(qps))
     if not qps:
         raise ValueError("need at least one qp")
-    scores = _Scorer(plane, block_size).score(_transform_plane(plane, block_size), qps)
+    scorer = _Scorer(plane, block_size)
+    scores = scorer.score(scorer.coeff, qps)
     return _rd_curve([RDPoint(qp, rate, db) for qp, (rate, db) in zip(qps, scores)])
 
 
@@ -176,33 +177,32 @@ def full_sweep(
     The direct curve is the plane's own RD curve over QP_RANGE at the sweep's
     block size; no curve from another plane or block size can enter.
 
-    Cost model.  Once per sweep the plane is forward-transformed and one
-    scorer built (codec._Scorer, which tiles the plane into the transform's
-    (row, col, block) layout as the PSNR reference).  One scorer pass over
-    QP_RANGE reads the direct curve off those coefficients, and each source
-    is a sample of that pass: its rate and PSNR are the curve's sample at
-    qp_s, and at each requested qp_s the pass hands back the source's
-    coefficients, the transcoder's input.  The pass builds them from its own
-    clipped pixel rows, in the layout they are already in: one edge-padding
-    gather, one centring subtraction and one in-place forward transform (a
-    flat GEMM, then a stack of N).  The source's targets are scored right
-    there, before the pass goes on, so at most one source's coefficients
-    and target buffers exist at a time.  Per source, the distinct
-    coefficient values, their counts and a gather index are found in
-    O(plane size).  Once per (qp_s, qp_t) pair only the distinct values are
-    quantized and dequantized, the rate is read from their merged counts,
-    and one gather, one in-place inverse transform and one exact
-    squared-error sum (one GEMV over chunks) give the PSNR (codec._Scorer).
-    These passes run in float32, exact on the 16-bit dequantized values, so
-    each moves half the bytes of float64.
+    Cost model.  Every qp_s and qp_t is checked before any work.  Once per
+    sweep one scorer (codec._Scorer) tiles the plane into the transform's
+    (row, col, block) layout, as the PSNR reference, and forward-transforms
+    it into coefficient rows.  One scorer pass over QP_RANGE reads the
+    direct curve off those rows, and each source is a sample of that pass:
+    its rate and PSNR are the curve's sample at qp_s, and at each requested
+    qp_s the pass hands back the source's coefficient rows, the transcoder's
+    input.  The pass builds them from its own clipped pixel rows: one
+    centring subtraction, one edge-padding scatter over the padding alone
+    and one in-place forward transform (a flat GEMM, then a stack of N).
+    The source's targets are scored right there, before the pass goes on,
+    so at most one source's coefficients and target buffers exist at a
+    time.  Per source, the distinct coefficient values, their counts and a
+    gather index are found in O(plane size).  Once per (qp_s, qp_t) pair
+    only the distinct values are quantized and dequantized, the rate is
+    read from their merged counts, and one gather, one in-place inverse
+    transform and one exact squared-error sum (one GEMV over chunks) give
+    the PSNR (codec._Scorer).  These passes run in float32, exact on the
+    16-bit dequantized values, so each moves half the bytes of float64.
     """
+    for qp in (*qp_s_values, *qp_t_values):
+        qp_to_qstep(qp)  # the one qp rule, before any work
     wanted = set(qp_s_values)
-    for qp_s in wanted:
-        qp_to_qstep(qp_s)  # the one qp rule, before any work
-    coeff = _transform_plane(plane, block_size)
     scorer = _Scorer(plane, block_size)
     samples, sources = [], {}
-    for qp, (rate, db, source) in zip(QP_RANGE, scorer._scores(coeff, QP_RANGE, wanted)):
+    for qp, (rate, db, source) in zip(QP_RANGE, scorer._scores(scorer.coeff, QP_RANGE, wanted)):
         samples.append(RDPoint(qp, rate, db))
         if source is not None:
             sources[qp] = (rate, db, scorer.score(source, qp_t_values))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codec_chain import encode
+from codec_chain import _transform_plane, encode
 from cpdtlab.codec import (
     DEFAULT_BLOCK_SIZE,
     MAX_PIXELS,
@@ -17,7 +17,6 @@ from cpdtlab.codec import (
     _SSE_CHUNK,
     _Scorer,
     _tile,
-    _transform_plane,
     coeff_qstep,
     decode_plane,
     encode_plane,
@@ -25,6 +24,7 @@ from cpdtlab.codec import (
     psnr,
     synth_content,
 )
+from cpdtlab.cpdt import build_rd_curve, full_sweep
 from cpdtlab.quantizer import QP_RANGE, qp_to_qstep
 from cpdtlab.transform import (
     COEFF_MAX,
@@ -34,6 +34,7 @@ from cpdtlab.transform import (
     _MATRICES,
     _RESIDUAL_MAX,
     _RESIDUAL_MIN,
+    _rows,
     orthonormal_gain,
 )
 
@@ -128,10 +129,11 @@ class TestEncodeDecode:
             encode_plane(coeff, 52, plane64.shape)
         with pytest.raises(ValueError):
             encode_plane(coeff, -1, plane64.shape)
-        with pytest.raises(ValueError):
-            _transform_plane(plane64, 16)
-        with pytest.raises(TypeError):
-            _transform_plane(plane64.astype(np.int32), DEFAULT_BLOCK_SIZE)
+        for entry in (build_rd_curve, lambda p, **kw: full_sweep(p, [30], [30], **kw)):
+            with pytest.raises(ValueError, match="unsupported transform size"):
+                entry(plane64, block_size=16)
+            with pytest.raises(TypeError, match="must be uint8"):
+                entry(plane64.astype(np.int32))
 
 
 class TestTile:
@@ -245,7 +247,7 @@ class TestScorerMatchesPlainChain:
             coeff.flat[rng.integers(0, coeff.size, coeff.size // 2 + 1)] = rng.choice(
                 [-32768, 32768], coeff.size // 2 + 1
             )
-        got = _Scorer(plane, block_size).score(coeff, qps)
+        got = _Scorer(plane, block_size).score(_rows(coeff), qps)
         assert got == [_plain_chain(plane, coeff, qp) for qp in qps]
 
     @pytest.mark.parametrize("block_size", [4, 8])
@@ -254,7 +256,7 @@ class TestScorerMatchesPlainChain:
         coeff = np.full((2, 3, block_size, block_size), 32768)
         plane = np.zeros((2 * block_size - 1, 3 * block_size - 1), dtype=np.uint8)
         qps = [0, 51]
-        assert _Scorer(plane, block_size).score(coeff, qps) == [
+        assert _Scorer(plane, block_size).score(_rows(coeff), qps) == [
             _plain_chain(plane, coeff, qp) for qp in qps
         ]
 
@@ -269,7 +271,7 @@ class TestScorerMatchesPlainChain:
         coeff = np.broadcast_to(field, (2, 3, block_size, block_size))
         rng = np.random.default_rng(block_size)
         plane = rng.integers(0, 256, size=(2 * block_size - 1, 3 * block_size), dtype=np.uint8)
-        assert _Scorer(plane, block_size).score(coeff, QP_RANGE) == [
+        assert _Scorer(plane, block_size).score(_rows(coeff), QP_RANGE) == [
             _plain_chain(plane, coeff, qp) for qp in QP_RANGE
         ]
 
@@ -283,7 +285,7 @@ class TestScorerMatchesPlainChain:
         own = _transform_plane(plane, 8)
         coeff = {"zero": np.zeros_like(own), "own": own, "negated": -own}[field]
         qps = range(0, 52, 3)
-        assert _Scorer(plane, 8).score(coeff, qps) == [
+        assert _Scorer(plane, 8).score(_rows(coeff), qps) == [
             _plain_chain(plane, coeff, qp) for qp in qps
         ]
 
@@ -294,7 +296,7 @@ class TestScorerMatchesPlainChain:
         plane = np.full((13, 11), 128, dtype=np.uint8)
         coeff = _transform_plane(plane, block_size)
         assert np.unique(coeff).tolist() == [0]
-        scores = _Scorer(plane, block_size).score(coeff, QP_RANGE)
+        scores = _Scorer(plane, block_size).score(_rows(coeff), QP_RANGE)
         assert scores == [(0.0, PSNR_CAP)] * len(QP_RANGE)
         assert scores == [_plain_chain(plane, coeff, qp) for qp in QP_RANGE]
 

@@ -7,8 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from codec_chain import encode
-from cpdtlab import codec
+from codec_chain import _transform_plane, encode
+from cpdtlab import codec, cpdt
 from cpdtlab.codec import ContentSpec, decode_plane, estimate_rate, psnr, synth_content
 from cpdtlab.cpdt import (
     MAX_RATIO_BINS,
@@ -26,7 +26,7 @@ from cpdtlab.cpdt import (
 from cpdtlab.pgm import encode_pgm
 from cpdtlab.quantizer import QP_RANGE
 from cpdtlab.requant import UNDEFINED_RATIO
-from cpdtlab.transform import TRANSFORM_SIZES
+from cpdtlab.transform import TRANSFORM_SIZES, _rows
 
 
 def _two_point_curve() -> RDCurve:
@@ -71,9 +71,12 @@ class TestRDCurve:
         assert curve.points == (curve.samples[0],)
         assert curve.samples[0].qp == 0
 
-    @pytest.mark.parametrize("qps, block_size", [([30, 52], 8), ([-1, 30], 8), ([30], 16)])
+    @pytest.mark.parametrize(
+        "qps, block_size", [([30, 52], 8), ([-1, 30], 8), ([30], 16), ([30], 0), ([30], -4)]
+    )
     def test_invalid_qp_or_block_size_rejected(self, plane64, qps, block_size):
-        with pytest.raises(ValueError):
+        match = "qp must lie" if block_size == 8 else "unsupported transform size"
+        with pytest.raises(ValueError, match=match):
             build_rd_curve(plane64, qps=qps, block_size=block_size)
 
 
@@ -146,26 +149,29 @@ class TestSweepMatchesPlainChain:
             np.full((13, 11), 200, np.uint8),
             np.full((1, 1), 90, np.uint8),
             synth_content(ContentSpec(seed=9, complexity=0.8, width=13, height=3)),
+            synth_content(ContentSpec(seed=4, complexity=0.6, width=24, height=16)),
         ],
-        ids=["odd", "constant", "1x1", "narrow"],
+        ids=["odd", "constant", "1x1", "narrow", "whole"],
     )
     def test_scorer_hands_back_the_decoded_source(self, plane, block_size):
-        # The coefficients the scorer hands back are those of decode_plane's
-        # pixels, padded as _tile pads them, value for value at every qp;
-        # they come with the same (rate, PSNR) as score(), and score as the
-        # reference does.
-        coeff = codec._transform_plane(plane, block_size)
+        # The scorer's own coefficient rows are the plane's; the rows it
+        # hands back are those of decode_plane's pixels, padded as _tile pads
+        # them (a whole-block plane has no padding), value for value at
+        # every qp; they come with the same (rate, PSNR) as score(), and
+        # score as the reference does.
+        coeff = _transform_plane(plane, block_size)
         scorer = codec._Scorer(plane, block_size)
-        passes = list(scorer._scores(coeff, QP_RANGE, set(QP_RANGE)))
-        assert [(rate, db) for rate, db, _ in passes] == scorer.score(coeff, QP_RANGE)
+        assert np.array_equal(scorer.coeff, _rows(coeff))
+        passes = list(scorer._scores(scorer.coeff, QP_RANGE, set(QP_RANGE)))
+        assert [(rate, db) for rate, db, _ in passes] == scorer.score(scorer.coeff, QP_RANGE)
         for qp, (_, _, source) in zip(QP_RANGE, passes):
             recon = decode_plane(codec.encode_plane(coeff, qp, plane.shape))
-            expected = codec._transform_plane(recon, block_size)
+            expected = _rows(_transform_plane(recon, block_size))
             assert source.shape == expected.shape
             assert np.array_equal(source, expected)
             qps = [0, 22, qp, 37, 51]
             assert scorer.score(source, qps) == scorer.score(expected, qps)
-        chosen = [src is not None for _, _, src in scorer._scores(coeff, QP_RANGE, {0, 51})]
+        chosen = [src is not None for _, _, src in scorer._scores(scorer.coeff, QP_RANGE, {0, 51})]
         assert chosen == [qp in (0, 51) for qp in QP_RANGE]
 
     def test_one_transform_and_one_scorer_serve_the_plane(self, plane64, monkeypatch):
@@ -215,11 +221,24 @@ class TestSweepMatchesPlainChain:
 
     @pytest.mark.parametrize(
         "qp_s, qp_t, block_size",
-        [([52], [30], 8), ([30], [52], 8), ([-1], [30], 8), ([30], [-1], 8), ([30], [30], 16)],
+        [
+            ([52], [30], 8), ([30], [52], 8), ([-1], [30], 8), ([30], [-1], 8), ([30], [30], 16),
+            ([30], [30], 0), ([30], [30], -4),
+        ],
     )
     def test_invalid_qp_or_block_size_rejected(self, plane64, qp_s, qp_t, block_size):
-        with pytest.raises(ValueError):
+        match = "qp must lie" if block_size == 8 else "unsupported transform size"
+        with pytest.raises(ValueError, match=match):
             full_sweep(plane64, qp_s, qp_t, block_size)
+
+    @pytest.mark.parametrize("qp_t, error", [([52], ValueError), ([30.0], TypeError)])
+    def test_target_qps_checked_before_any_work(self, plane64, qp_t, error, monkeypatch):
+        # With no source qp there is no target to score, and a bad qp_t is
+        # still refused; with one, it is refused before the scorer is built.
+        monkeypatch.setattr(cpdt, "_Scorer", None)
+        for qp_s in ([], [51]):
+            with pytest.raises(error, match="qp must"):
+                full_sweep(plane64, qp_s, qp_t)
 
 
 class TestInterp:
