@@ -1,5 +1,6 @@
 """Dead-zone quantizer: frozen contract values, exactness, and properties."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,13 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cpdtlab.codec import _quantize, coeff_qstep
 from cpdtlab.quantizer import (
     AWAY_FROM_ZERO,
+    QP_RANGE,
     TOWARD_ZERO,
     Quantizer,
     as_fraction,
     qp_to_qstep,
 )
+from cpdtlab.transform import COEFF_MAX, COEFF_MIN, TRANSFORM_SIZES
 from exact_inputs import decision_boundaries, extreme_offsets, extreme_steps
 
 # Hypothesis strategies kept small so the exact (Fraction) reference path
@@ -211,6 +215,25 @@ class TestQpToQstep:
             qp_to_qstep(-1)
         with pytest.raises(ValueError):
             qp_to_qstep(52)
+
+
+class TestCodecQuantizer:
+    @pytest.mark.parametrize("tie_break", [TOWARD_ZERO, AWAY_FROM_ZERO])
+    def test_codec_quantize_is_the_exact_law(self, tie_break):
+        # The codec's float quantizer is the exact one at offset 1/3 on every
+        # 16-bit coefficient, at every qp and block size: no integer lands on
+        # a decision boundary, so either tie-break gives the same levels.
+        coeff = np.arange(COEFF_MIN, COEFF_MAX + 1, dtype=np.int64)
+        mismatched = [
+            (qp, n)
+            for qp, n in itertools.product(QP_RANGE, TRANSFORM_SIZES)
+            if not np.array_equal(
+                _quantize(coeff, qp, n),
+                Quantizer(Fraction(coeff_qstep(qp, n)), Fraction(1, 3), tie_break)
+                .quantize_scaled(coeff),
+            )
+        ]
+        assert not mismatched
 
 
 class TestAsFraction:

@@ -350,6 +350,23 @@ class TestLevelRuns:
             "4a1c88e2c495f331a18e5c9d6ad24737e13e26a4fedc4558edbefb58cebd452f"
         )
 
+    def test_violation_counts_are_pinned(self):
+        # Check 02's count of values where the chain beats the direct
+        # quantizer, over the grid above plus an int64-edge window at the top:
+        # a refactor of the run pieces that moves any count by 1 fails here.
+        digest = hashlib.sha256()
+        for s, t, offset, tie, domain in itertools.product(
+            (7, 12, "12.5"), (13, "17.1", 24, "12.34567890123456789"), AUDIT_OFFSETS,
+            (TOWARD_ZERO, AWAY_FROM_ZERO),
+            (DEFAULT_DOMAIN, CoefficientDomain(-_I64, -_I64 + 4095),
+             CoefficientDomain(_I64 - 4095, _I64)),
+        ):
+            count = _violations(Quantizer(s, offset, tie), Quantizer(t, offset, tie), domain)
+            digest.update(f"{count}\n".encode())
+        assert digest.hexdigest() == (
+            "bad12490f91b7a1478d37de92c9e17cb45f01c5236c1804ab0d92978aafcbf66"
+        )
+
     def test_object_path_quantizes_few_values(self, monkeypatch):
         # Cost follows the runs, for every metric's sums and for the violation
         # count: about 32768/7 source levels reach the second stage, against
