@@ -12,7 +12,9 @@ arithmetic is exact integer/rational, so structural identities such as
 "E_b/E_a == 1 when the target step is an integer multiple of the source step
 at offset 0" hold with zero tolerance.  The error sums come in closed form per
 run of equal quantizer level, so their cost follows the number of runs, not
-the number of values.
+the number of values.  One builder, _runs, makes a cell's two run tables; the
+error sums, the worst-case errors and the count of values where the chain
+beats the direct quantizer all read them.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ __all__ = [
     "sweep_qstep_t",
     "error_surface",
     "boundary_overlap",
-    "convention_audit",
-    "matches_reference",
 ]
 
 MEAN_ABS = "mean-abs"
@@ -199,39 +199,27 @@ def _level_runs(q: Quantizer, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 class _Runs:
     """One chain's errors over a domain, by runs of equal target level k.
 
-    Along run i the signed error numerator m*q - k*p (magnitude m, target
-    step p/q) rises by q per magnitude, from ends[0][i] to ends[1][i] over
-    n[i] magnitudes, so its sums have closed forms.  The runs cover `size`
-    magnitudes; the first `twice` runs are those that x takes with both signs.
+    Run i covers the n[i] magnitudes from starts[i] on, at level levels[i].
+    Along it the signed error numerator m*q - k*p (magnitude m, target step
+    p/q) rises by q per magnitude, from ends[0][i] to ends[1][i], so its sums
+    have closed forms.  No run holds both near and near + 1: the runs that
+    start at or below near are those that x takes with both signs, and they
+    count twice.
     """
 
-    ends: np.ndarray
+    starts: np.ndarray
+    levels: np.ndarray
     n: np.ndarray
-    q: int
-    size: int
-    twice: int
-
-    @classmethod
-    def over(
-        cls, starts: np.ndarray, levels: np.ndarray, b: int, near: int, step: Fraction
-    ) -> "_Runs":
-        """Runs from their starts and levels, over magnitudes up to b, where
-        those up to `near` count twice."""
-        twice = int(np.searchsorted(starts, near, side="right"))
-        if 0 < twice and near < b and (twice == starts.size or starts[twice] > near + 1):
-            # Split the run that holds both near and near + 1.
-            starts = np.insert(starts, twice, near + 1)
-            levels = np.insert(levels, twice, levels[twice - 1])
-        last = np.append(starts[1:] - 1, b)
-        ends = _error_numerators(np.stack([starts, last]), levels, step)
-        return cls(ends, last - starts + 1, step.denominator, b - int(starts[0]) + 1, twice)
+    ends: np.ndarray
+    near: int
+    step: Fraction
 
     def error_sum(self, power: int) -> int:
         """Exact sum over the domain of |m*q - k*p|**power, for power 1 or 2."""
         # With M = max|ends|, every term below stays within 10*n*M**power on
         # a run of n magnitudes: q*(n - 1) = v - u is at most 2*M.
-        u, v = _exact_ints(self.ends, 10 * self.size, power=power)
-        n, q = self.n, self.q
+        u, v = _exact_ints(self.ends, 10 * int(self.n.sum()), power=power)
+        n, q = self.n, self.step.denominator
         if power == 1:
             # The n terms u, u + q, ..., v sum to n*(u + v)/2, and the first c
             # of them, those at most 0, to c*(2*u + q*(c - 1))/2; the sum of
@@ -241,19 +229,20 @@ class _Runs:
         else:
             # Their squares sum to n*(2*(u^2 + u*v + v^2) + q*(v - u))/6.
             per_run, scale = n * (2 * (u * u + u * v + v * v) + q * (v - u)), 6
-        return (int(per_run.sum()) + int(per_run[: self.twice].sum())) // scale
+        return (int(per_run.sum()) + int(per_run[self.starts <= self.near].sum())) // scale
 
     def max_error(self) -> int:
         """Largest |m*q - k*p| over the domain: a linear error peaks at a run end."""
         return int(np.abs(self.ends).max())
 
 
-def _run_tables(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tuple:
-    """(b, near, direct, two-stage): each chain's (starts, levels) runs of equal target level.
+def _runs(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tuple[_Runs, _Runs]:
+    """(direct, two-stage): each chain's runs of equal target level over the domain.
 
     Both quantizers are odd, so an error depends only on |x|: the domain is
     the magnitudes a..b, and those up to `near` count twice, once per sign of
-    x.  Zero's error is 0 on both chains, so its count never matters.  The
+    x.  Each chain's run that holds both near and near + 1 is split there.
+    Zero's error is 0 on both chains, so its count never matters.  The
     second stage quantizes only the distinct source levels, and source runs
     with equal target levels merge.
     """
@@ -262,38 +251,42 @@ def _run_tables(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tu
     starts, levels = _level_runs(q_s, a, b)
     levels = _requantizer(q_s, q_t).quantize_scaled(levels)
     new = np.concatenate(([True], levels[1:] != levels[:-1]))
-    return b, near, _level_runs(q_t, a, b), (starts[new], levels[new])
+    runs = []
+    for starts, levels in (_level_runs(q_t, a, b), (starts[new], levels[new])):
+        i = int(np.searchsorted(starts, near, side="right"))
+        if 0 < i and near < b and (i == starts.size or starts[i] > near + 1):
+            starts = np.insert(starts, i, near + 1)
+            levels = np.insert(levels, i, levels[i - 1])
+        last = np.append(starts[1:] - 1, b)
+        ends = _error_numerators(np.stack([starts, last]), levels, q_t.step)
+        runs.append(_Runs(starts, levels, last - starts + 1, ends, near, q_t.step))
+    return tuple(runs)
 
 
-def _runs(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tuple[_Runs, _Runs]:
-    """(direct, two-stage) error runs over the domain."""
-    b, near, *tables = _run_tables(q_s, q_t, domain)
-    return tuple(_Runs.over(*table, b, near, q_t.step) for table in tables)
-
-
-def _violations(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> int:
+def _violations(direct: _Runs, chain: _Runs) -> int:
     """How many values of the domain have a smaller two-stage than direct error.
 
     On each piece between the two chains' run starts, the direct level k_a and
     the chain's k_b are constant.  With target step p/q, |m*q - k_b*p| < |m*q - k_a*p|
     exactly when m lies strictly on k_b's side of the midpoint (k_a + k_b)*p/(2*q),
     so each piece counts one interval of magnitudes; equal errors never count.
+    Both chains split their runs at near + 1, so the pieces that start at or
+    below near count twice.
     """
-    b, near, (starts_a, k_a), (starts_b, k_b) = _run_tables(q_s, q_t, domain)
-    starts = np.union1d(starts_a, starts_b)
-    k_a = k_a[np.searchsorted(starts_a, starts, "right") - 1]
-    k_b = k_b[np.searchsorted(starts_b, starts, "right") - 1]
-    last = np.append(starts[1:] - 1, b)
-    p, q = q_t.step.numerator, q_t.step.denominator
+    starts = np.union1d(direct.starts, chain.starts)
+    k_a = direct.levels[np.searchsorted(direct.starts, starts, "right") - 1]
+    k_b = chain.levels[np.searchsorted(chain.starts, starts, "right") - 1]
+    # The last magnitude, from the last run: a sum from starts[0] on may pass int64's edge.
+    last = np.append(starts[1:] - 1, direct.starts[-1] + (direct.n[-1] - 1))
+    p, q = direct.step.numerator, direct.step.denominator
     # (k_a + k_b)*p is at most 2*max|k|*p, and the divisor is 2*q.
     mid2 = _exact_ints(np.stack([k_a, k_b]), 2 * p, 2 * q).sum(axis=0) * p
     up = k_b > k_a
     # Up from the least m with 2*m*q > mid2; down to the largest m with 2*m*q < mid2.
     first = np.where(up, np.maximum(starts, mid2 // (2 * q) + 1), starts)
     final = np.where(up, last, np.minimum(last, (mid2 - 1) // (2 * q)))
-    # Magnitudes up to near count again; -1 for none keeps the int64 differences in range.
-    n = np.maximum(np.minimum(final, [[b], [max(near, -1)]]) - first + 1, 0)[:, k_a != k_b]
-    return int(n.sum())
+    n = np.where(k_a != k_b, np.maximum(final - first + 1, 0), 0)
+    return int(n.sum()) + int(n[starts <= direct.near].sum())
 
 
 def error_ratio(
@@ -438,37 +431,3 @@ def boundary_overlap(
         split_bin_period=_split_bin_description(ratio, q_s.offset, k0),
         max_extra_error=float(extra),
     )
-
-
-# (E_a, E_b, ratio) previously reported for the QStep 10 -> 20 chain; the
-# generating convention was left unspecified, so the audit recomputes the
-# chain over the default domain, toward zero, under every supported
-# (offset, metric) convention, and matches_reference says which, if any,
-# reproduces these values within REFERENCE_TOLERANCE.
-REPORTED_REFERENCE = {"e_a": 12.0, "e_b": 14.5, "ratio": 1.2}
-REFERENCE_TOLERANCE = 0.02
-
-AUDIT_OFFSETS = (Fraction(0), Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
-
-
-def matches_reference(point: RequantPoint) -> bool:
-    """Whether e_a, e_b and ratio each lie within REFERENCE_TOLERANCE
-    (relative) of REPORTED_REFERENCE; an undefined ratio never matches."""
-    return point.ratio is not None and all(
-        math.isclose(getattr(point, key), ref, rel_tol=REFERENCE_TOLERANCE)
-        for key, ref in REPORTED_REFERENCE.items()
-    )
-
-
-def convention_audit() -> list[RequantPoint]:
-    """The 10 -> 20 chain under every (offset, metric) convention, offsets outer.
-
-    The caller gets the full table whether or not any point matches the
-    reference, which is the honest answer when the generating convention of a
-    reported value pair cannot be pinned down.
-    """
-    return [
-        error_ratio(Quantizer(10, off), Quantizer(20, off), DEFAULT_DOMAIN, metric)
-        for off in AUDIT_OFFSETS
-        for metric in METRICS
-    ]

@@ -12,15 +12,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cpdtlab.acceptance import (
+    AUDIT_OFFSETS,
+    REPORTED_REFERENCE,
+    _convention_audit,
+    _matches_reference,
+)
 from cpdtlab.quantizer import AWAY_FROM_ZERO, TOWARD_ZERO, Quantizer
 from cpdtlab.requant import (
-    AUDIT_OFFSETS,
     DEFAULT_DOMAIN,
     MAX_DOMAIN_SIZE,
     MEAN_ABS,
     METRICS,
     MSE,
-    REPORTED_REFERENCE,
     RMS,
     UNDEFINED_RATIO,
     CoefficientDomain,
@@ -28,10 +32,8 @@ from cpdtlab.requant import (
     _runs,
     _violations,
     boundary_overlap,
-    convention_audit,
     error_ratio,
     error_surface,
-    matches_reference,
     sweep_qstep_t,
 )
 from exact_inputs import (
@@ -296,7 +298,7 @@ class TestLevelRuns:
             assert runs.error_sum(1) == sum(errors)
             assert runs.error_sum(2) == sum(e * e for e in errors)
         assert chain.max_error() - direct.max_error() == max(e_b) - max(e_a)
-        assert _violations(q_s, q_t, domain) == sum(b < a for a, b in zip(e_a, e_b))
+        assert _violations(direct, chain) == sum(b < a for a, b in zip(e_a, e_b))
 
     @pytest.mark.parametrize(
         "step, offset, tie_break, starts",
@@ -361,7 +363,8 @@ class TestLevelRuns:
             (DEFAULT_DOMAIN, CoefficientDomain(-_I64, -_I64 + 4095),
              CoefficientDomain(_I64 - 4095, _I64)),
         ):
-            count = _violations(Quantizer(s, offset, tie), Quantizer(t, offset, tie), domain)
+            cell = Quantizer(s, offset, tie), Quantizer(t, offset, tie), domain
+            count = _violations(*_runs(*cell))
             digest.update(f"{count}\n".encode())
         assert digest.hexdigest() == (
             "bad12490f91b7a1478d37de92c9e17cb45f01c5236c1804ab0d92978aafcbf66"
@@ -382,7 +385,8 @@ class TestLevelRuns:
         monkeypatch.setattr(Quantizer, "quantize_scaled", spy)
         q_s = Quantizer(7, Fraction(1, 3))
         q_t = Quantizer("12.34567890123456789", Fraction(1, 3))
-        for measure in [functools.partial(error_ratio, metric=m) for m in METRICS] + [_violations]:
+        measures = [functools.partial(error_ratio, metric=m) for m in METRICS]
+        for measure in measures + [lambda *cell: _violations(*_runs(*cell))]:
             calls.clear()
             measure(q_s, q_t, DEFAULT_DOMAIN)
             assert any(is_object for _, is_object in calls)
@@ -536,13 +540,13 @@ class TestBoundaryOverlap:
 
 class TestConventionAudit:
     def test_full_table(self):
-        rows = convention_audit()
+        rows = _convention_audit()
         assert len(rows) == len(AUDIT_OFFSETS) * len(METRICS) == 12
         seen = {(row.offset, row.metric) for row in rows}
         assert len(seen) == 12
 
     def test_offset_zero_mean_abs_row(self):
-        rows = convention_audit()
+        rows = _convention_audit()
         row = next(r for r in rows if r.offset == 0.0 and r.metric == MEAN_ABS)
         # The 10 -> 20 chain at offset 0 collapses to direct quantization.
         assert row.ratio == 1.0
@@ -552,19 +556,19 @@ class TestConventionAudit:
     def test_reference_is_documented_not_forced(self):
         # No supported convention reproduces the reported triple; the table
         # must say so honestly rather than match by construction.
-        rows = convention_audit()
+        rows = _convention_audit()
         assert REPORTED_REFERENCE == {"e_a": 12.0, "e_b": 14.5, "ratio": 1.2}
-        assert not any(matches_reference(r) for r in rows)
+        assert not any(_matches_reference(r) for r in rows)
 
     def test_matches_reference_is_a_two_percent_rule(self):
         ref = REPORTED_REFERENCE
         at_ref = RequantPoint(10.0, 20.0, ref["e_a"], ref["e_b"], ref["ratio"], MEAN_ABS, 0.0)
-        assert matches_reference(at_ref)
+        assert _matches_reference(at_ref)
         for key, value in ref.items():
-            assert matches_reference(replace(at_ref, **{key: value * 1.01}))
+            assert _matches_reference(replace(at_ref, **{key: value * 1.01}))
             for factor in (0.97, 1.03):
-                assert not matches_reference(replace(at_ref, **{key: value * factor}))
-        assert not matches_reference(replace(at_ref, ratio=None))
+                assert not _matches_reference(replace(at_ref, **{key: value * factor}))
+        assert not _matches_reference(replace(at_ref, ratio=None))
 
 
 class TestCoefficientDomain:
