@@ -197,6 +197,7 @@ def full_sweep(
     the PSNR (codec._Scorer).  These passes run in float32, exact on the
     16-bit dequantized values, so each moves half the bytes of float64.
     """
+    qp_s_values, qp_t_values = list(qp_s_values), list(qp_t_values)  # each is read twice
     for qp in (*qp_s_values, *qp_t_values):
         qp_to_qstep(qp)  # the one qp rule, before any work
     wanted = set(qp_s_values)

@@ -348,6 +348,7 @@ def error_surface(
 ) -> list[list[RequantPoint]]:
     """Dense (qstep_s, qstep_t) grid of error ratios, indexed [s][t]: one
     target sweep per source step."""
+    qstep_t_values = list(qstep_t_values)  # every sweep reads it, so an iterator too
     return [
         sweep_qstep_t(qs, qstep_t_values, domain, metric, offset, tie_break)
         for qs in qstep_s_values

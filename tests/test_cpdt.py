@@ -291,6 +291,13 @@ class TestTranscodeRecords:
         assert rec.delta_psnr < 0.0
         assert rec.delta_psnr == pytest.approx(-0.0104171, abs=1e-4)
 
+    def test_iterator_qps_are_read_once(self, plane64):
+        # Each qp argument is read twice, for the qp check and for the sweep.
+        expected = full_sweep(plane64, [20], [30])
+        assert len(expected) == 1
+        assert full_sweep(plane64, iter([20]), [30]) == expected
+        assert full_sweep(plane64, [20], iter([30])) == expected
+
     def test_constant_plane_flags_undefined_ratio(self):
         plane = np.full((32, 32), 128, dtype=np.uint8)
         [rec] = full_sweep(plane, [30], [30])

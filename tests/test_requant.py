@@ -463,6 +463,13 @@ class TestSweepAndSurface:
         assert surf == [[pt]]
 
 
+    def test_iterator_target_steps_serve_every_source(self):
+        domain = CoefficientDomain(-512, 511)
+        surf = error_surface([10, 12], iter([13, 14]), domain)
+        assert surf == error_surface([10, 12], [13, 14], domain)
+        assert [len(row) for row in surf] == [2, 2]
+
+
 class TestBoundaryOverlap:
     def test_equal_steps(self):
         report = boundary_overlap(Quantizer(10), Quantizer(10))
