@@ -41,6 +41,7 @@ from .requant import (
     METRICS,
     CoefficientDomain,
     _BOUND_RULE,
+    _boundary_ranges,
     _step_float,
     boundary_overlap,
     error_surface,
@@ -334,6 +335,15 @@ def _content_spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         parser.error(str(exc))
 
 
+def _check_overlap_domain(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """requant overlap's domain must hold a target-step decision boundary; one
+    that holds none is a usage error, found before any work."""
+    try:
+        _boundary_ranges(Quantizer(args.qstep_t.value, args.offset.value), args.domain.value)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _cmd_gen_content(args: argparse.Namespace) -> dict[Path, bytes]:
     return {Path(args.out): encode_pgm(synth_content(args.spec))}
 
@@ -515,6 +525,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "gen-content":
             args.spec = _content_spec(parser, args)
+        elif args.command == "requant" and args.subcommand == "overlap":
+            _check_overlap_domain(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

@@ -15,6 +15,21 @@ run of equal quantizer level, so their cost follows the number of runs, not
 the number of values.  One builder, _runs, makes a cell's two run tables; the
 error sums, the worst-case errors and the count of values where the chain
 beats the direct quantizer all read them.
+
+The target step p/q factors out of the sums.  Over runs of n magnitudes m
+from s on at level k, the squared sum is (q^2*A - 6*p*q*B + 6*p^2*C)/6 with
+A = sum 6*sum(m^2), B = sum k*2*sum(m) and C = sum n*k^2, and the absolute
+sum is q*X/2 - p*Y with X = sum n*(2s + n - 1) - 4cs - 2c(c - 1) and
+Y = sum k*(n - 2c), where c counts a run's magnitudes below k*t.  So the run
+arrays hold only magnitudes, levels and counts, in int64 on the 16-bit
+domain for every target step of 0.012 or more, and p and q enter Python-int
+totals.
+c comes from the run-start error s*q - k*p, formed in wrapping int64
+products: an error is at most t on the direct chain and s + t on the
+two-stage one, so that is exact while p + q*(ceil(s) + 1) < 2^62, and
+Python ints take over past it.  A sweep or surface builds each source
+step's level runs, and each target step's direct runs and E_a, once per
+call, so a cell costs only its chain's runs.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quantizer import TOWARD_ZERO, Quantizer, RationalLike, _exact_ints
+from .quantizer import _INT64_SAFE, TOWARD_ZERO, Quantizer, RationalLike, _exact_ints
 from .transform import COEFF_MAX, COEFF_MIN
 
 __all__ = [
@@ -148,10 +163,15 @@ def _step_float(step: Fraction) -> float:
     raise ValueError("step lies outside the range of a double (4.9e-324 to 1.8e308)")
 
 
-def _metric_float(frac: Fraction, metric: str) -> float:
-    """An exact metric value (or a ratio of two) as reported: rms takes the root
-    of the mean square."""
-    return math.sqrt(float(frac)) if metric == RMS else float(frac)
+def _power(metric: str) -> int:
+    """The power of |error| a metric sums: 1 for mean-abs, 2 for rms and mse."""
+    return 1 if metric == MEAN_ABS else 2
+
+
+def _metric_float(value: float, metric: str) -> float:
+    """A metric value (or a ratio of two) as reported: rms takes the root of
+    the mean square."""
+    return math.sqrt(value) if metric == RMS else value
 
 
 def _error_numerators(x: np.ndarray, levels: np.ndarray, step: Fraction) -> np.ndarray:
@@ -173,6 +193,13 @@ def _requantizer(q_s: Quantizer, q_t: Quantizer) -> Quantizer:
     same too.
     """
     return Quantizer(q_t.step / q_s.step, q_t.offset, q_t.tie_break)
+
+
+def _magnitudes(domain: CoefficientDomain) -> tuple[int, int, int]:
+    """(a, b, near): the domain as the magnitudes a..b, of which those up to
+    near are taken with both signs."""
+    lo, hi = domain.lo, domain.hi
+    return max(lo, -hi, 0), max(-lo, hi), min(-lo, hi)
 
 
 def _level_runs(q: Quantizer, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,66 +228,111 @@ class _Runs:
 
     Run i covers the n[i] magnitudes from starts[i] on, at level levels[i].
     Along it the signed error numerator m*q - k*p (magnitude m, target step
-    p/q) rises by q per magnitude, from ends[0][i] to ends[1][i], so its sums
-    have closed forms.  No run holds both near and near + 1: the runs that
-    start at or below near are those that x takes with both signs, and they
-    count twice.
+    p/q) rises by q per magnitude, so its sums have closed forms, and every
+    |m*q - k*p| lies below `reach`.  No run holds both near and near + 1: the
+    runs that start at or below near are those that x takes with both signs,
+    and they count twice.
     """
 
     starts: np.ndarray
     levels: np.ndarray
     n: np.ndarray
-    ends: np.ndarray
     near: int
     step: Fraction
+    reach: int
 
     def error_sum(self, power: int) -> int:
-        """Exact sum over the domain of |m*q - k*p|**power, for power 1 or 2."""
-        # With M = max|ends|, every term below stays within 10*n*M**power on
-        # a run of n magnitudes: q*(n - 1) = v - u is at most 2*M.
-        u, v = _exact_ints(self.ends, 10 * int(self.n.sum()), power=power)
-        n, q = self.n, self.step.denominator
-        if power == 1:
-            # The n terms u, u + q, ..., v sum to n*(u + v)/2, and the first c
-            # of them, those at most 0, to c*(2*u + q*(c - 1))/2; the sum of
-            # |e| takes the latter with the other sign.
-            c = np.clip(-u // q + 1, 0, n)
-            per_run, scale = n * (u + v) - 2 * c * (2 * u + q * np.maximum(c - 1, 0)), 2
+        """Exact sum over the domain of |m*q - k*p|**power, for power 1 or 2,
+        with the step factored out (see the module docstring).
+
+        With M the largest magnitude or level and N the number of magnitudes,
+        every array term below, doubled runs included, stays within
+        16*N*(M + 1)**2, so int64 carries them where that fits.
+        """
+        p, q = self.step.numerator, self.step.denominator
+        last = int(self.starts[-1]) + int(self.n[-1]) - 1
+        top = max(last, int(self.levels.max()))
+        fits = 16 * int(self.n.sum()) * (top + 1) ** 2 < _INT64_SAFE
+        s, n, k = (a.astype(np.int64 if fits else object, copy=False)
+                   for a in (self.starts, self.n, self.levels))
+        w = 1 + (self.starts <= self.near)
+        two_sums = n * (2 * s + n - 1)  # twice the sum of each run's magnitudes
+        if power == 2:
+            # Sum of (m*q - k*p)^2 = q^2*A - 6*p*q*B + 6*p^2*C, over 6, with
+            # A = 6*sum(m^2), B = k*2*sum(m) and C = n*k^2 summed over the runs.
+            a = int((w * n * (6 * s * s + 6 * s * (n - 1) + (n - 1) * (2 * n - 1))).sum())
+            b = int((w * k * two_sums).sum())
+            c = int((w * n * k * k).sum())
+            return (q * q * a - 6 * p * q * b + 6 * p * p * c) // 6
+        # The first c magnitudes of a run, those with m*q <= k*p, count with
+        # the other sign: the run sums to q*(2*sum(m) - 4*c*s - 2*c*(c - 1))/2
+        # - p*k*(n - 2*c).  c comes from the run-start error u = s*q - k*p.
+        if fits and self.reach < _INT64_SAFE:
+            # |u| < reach < 2^62, so int64 products that wrap still give u exactly.
+            u = s * np.int64(q) - k * np.int64(p)
         else:
-            # Their squares sum to n*(2*(u^2 + u*v + v^2) + q*(v - u))/6.
-            per_run, scale = n * (2 * (u * u + u * v + v * v) + q * (v - u)), 6
-        return (int(per_run.sum()) + int(per_run[self.starts <= self.near].sum())) // scale
+            u = _error_numerators(s, k, self.step)
+        c = np.clip(-u // q + 1, 0, n).astype(s.dtype, copy=False)
+        x = int((w * (two_sums - 4 * c * s - 2 * c * (c - 1))).sum())
+        y = int((w * k * (n - 2 * c)).sum())
+        return q * x // 2 - p * y
 
     def max_error(self) -> int:
         """Largest |m*q - k*p| over the domain: a linear error peaks at a run end."""
-        return int(np.abs(self.ends).max())
+        ends = np.stack([self.starts, self.starts + (self.n - 1)])
+        return int(np.abs(_error_numerators(ends, self.levels, self.step)).max())
+
+
+def _table(
+    starts: np.ndarray, levels: np.ndarray, domain: CoefficientDomain, step: Fraction,
+    source_step: Fraction,
+) -> _Runs:
+    """The _Runs of runs from `starts` at `levels` over the domain's magnitudes.
+
+    A run that holds both near and near + 1 is split there.  Zero's error is
+    0 on both chains, so its count never matters.  An error is at most
+    step + source_step (0 on the direct chain), so every |m*q - k*p| lies
+    below p + q*(ceil(source_step) + 1).
+    """
+    _, b, near = _magnitudes(domain)
+    i = int(np.searchsorted(starts, near, side="right"))
+    if 0 < i and near < b and (i == starts.size or starts[i] > near + 1):
+        starts = np.insert(starts, i, near + 1)
+        levels = np.insert(levels, i, levels[i - 1])
+    n = np.append(starts[1:] - 1, b) - starts + 1
+    reach = step.numerator + step.denominator * (math.ceil(source_step) + 1)
+    return _Runs(starts, levels, n, near, step, reach)
+
+
+def _direct_runs(q_t: Quantizer, domain: CoefficientDomain) -> _Runs:
+    """The direct chain's runs of equal target level over the domain."""
+    a, b, _ = _magnitudes(domain)
+    return _table(*_level_runs(q_t, a, b), domain, q_t.step, Fraction(0))
+
+
+def _chain_runs(
+    q_s: Quantizer, source: tuple[np.ndarray, np.ndarray], q_t: Quantizer,
+    domain: CoefficientDomain,
+) -> _Runs:
+    """The two-stage chain's runs, from the source's level runs over the domain.
+
+    The second stage quantizes only the distinct source levels, and source
+    runs with equal target levels merge.
+    """
+    starts, levels = source
+    levels = _requantizer(q_s, q_t).quantize_scaled(levels)
+    new = np.concatenate(([True], levels[1:] != levels[:-1]))
+    return _table(starts[new], levels[new], domain, q_t.step, q_s.step)
 
 
 def _runs(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tuple[_Runs, _Runs]:
     """(direct, two-stage): each chain's runs of equal target level over the domain.
 
     Both quantizers are odd, so an error depends only on |x|: the domain is
-    the magnitudes a..b, and those up to `near` count twice, once per sign of
-    x.  Each chain's run that holds both near and near + 1 is split there.
-    Zero's error is 0 on both chains, so its count never matters.  The
-    second stage quantizes only the distinct source levels, and source runs
-    with equal target levels merge.
+    the magnitudes a..b, and those up to `near` count twice, once per sign of x.
     """
-    lo, hi = domain.lo, domain.hi
-    a, b, near = max(lo, -hi, 0), max(-lo, hi), min(-lo, hi)
-    starts, levels = _level_runs(q_s, a, b)
-    levels = _requantizer(q_s, q_t).quantize_scaled(levels)
-    new = np.concatenate(([True], levels[1:] != levels[:-1]))
-    runs = []
-    for starts, levels in (_level_runs(q_t, a, b), (starts[new], levels[new])):
-        i = int(np.searchsorted(starts, near, side="right"))
-        if 0 < i and near < b and (i == starts.size or starts[i] > near + 1):
-            starts = np.insert(starts, i, near + 1)
-            levels = np.insert(levels, i, levels[i - 1])
-        last = np.append(starts[1:] - 1, b)
-        ends = _error_numerators(np.stack([starts, last]), levels, q_t.step)
-        runs.append(_Runs(starts, levels, last - starts + 1, ends, near, q_t.step))
-    return tuple(runs)
+    a, b, _ = _magnitudes(domain)
+    return _direct_runs(q_t, domain), _chain_runs(q_s, _level_runs(q_s, a, b), q_t, domain)
 
 
 def _violations(direct: _Runs, chain: _Runs) -> int:
@@ -289,6 +361,32 @@ def _violations(direct: _Runs, chain: _Runs) -> int:
     return int(n.sum()) + int(n[starts <= direct.near].sum())
 
 
+def _point(
+    q_s: Quantizer, q_t: Quantizer, sum_a: int, sum_b: int, domain: CoefficientDomain,
+    metric: str,
+) -> RequantPoint:
+    """A cell's RequantPoint from its two exact error sums.
+
+    Python's int division rounds correctly, as float(Fraction) does, so the
+    floats are those of the exact rationals.
+    """
+    den = domain.size * q_t.step.denominator ** _power(metric)
+    if sum_a == 0:
+        ratio, flag = None, UNDEFINED_RATIO
+    else:
+        ratio, flag = _metric_float(sum_b / sum_a, metric), None
+    return RequantPoint(
+        qstep_s=_step_float(q_s.step),
+        qstep_t=_step_float(q_t.step),
+        e_a=_metric_float(sum_a / den, metric),
+        e_b=_metric_float(sum_b / den, metric),
+        ratio=ratio,
+        metric=metric,
+        offset=float(q_t.offset),
+        flag=flag,
+    )
+
+
 def error_ratio(
     q_s: Quantizer,
     q_t: Quantizer,
@@ -297,28 +395,14 @@ def error_ratio(
 ) -> RequantPoint:
     """E_a, E_b and their ratio for one (source, target) pair.
 
-    The ratio is computed from the exact rational error values, so structural
+    The ratio is computed from the exact integer error sums, so structural
     equalities (e.g. integer-multiple steps at offset 0) yield exactly 1.0.
     The cost follows the number of level runs, not the domain size.
     """
     _require_metric(metric)
-    power = 1 if metric == MEAN_ABS else 2
-    den = domain.size * q_t.step.denominator**power
-    frac_a, frac_b = (Fraction(r.error_sum(power), den) for r in _runs(q_s, q_t, domain))
-    if frac_a == 0:
-        ratio, flag = None, UNDEFINED_RATIO
-    else:
-        ratio, flag = _metric_float(frac_b / frac_a, metric), None
-    return RequantPoint(
-        qstep_s=_step_float(q_s.step),
-        qstep_t=_step_float(q_t.step),
-        e_a=_metric_float(frac_a, metric),
-        e_b=_metric_float(frac_b, metric),
-        ratio=ratio,
-        metric=metric,
-        offset=float(q_t.offset),
-        flag=flag,
-    )
+    power = _power(metric)
+    direct, chain = _runs(q_s, q_t, domain)
+    return _point(q_s, q_t, direct.error_sum(power), chain.error_sum(power), domain, metric)
 
 
 def sweep_qstep_t(
@@ -329,13 +413,9 @@ def sweep_qstep_t(
     offset: RationalLike = 0,
     tie_break: str = TOWARD_ZERO,
 ) -> list[RequantPoint]:
-    """Hold the source step fixed and sweep the target step."""
-    _require_metric(metric)
-    q_s = Quantizer(qstep_s, offset, tie_break)
-    return [
-        error_ratio(q_s, Quantizer(qt, offset, tie_break), domain, metric)
-        for qt in qstep_t_values
-    ]
+    """Hold the source step fixed and sweep the target step: one row of
+    error_surface."""
+    return error_surface([qstep_s], qstep_t_values, domain, metric, offset, tie_break)[0]
 
 
 def error_surface(
@@ -346,13 +426,30 @@ def error_surface(
     offset: RationalLike = 0,
     tie_break: str = TOWARD_ZERO,
 ) -> list[list[RequantPoint]]:
-    """Dense (qstep_s, qstep_t) grid of error ratios, indexed [s][t]: one
-    target sweep per source step."""
-    qstep_t_values = list(qstep_t_values)  # every sweep reads it, so an iterator too
-    return [
-        sweep_qstep_t(qs, qstep_t_values, domain, metric, offset, tie_break)
-        for qs in qstep_s_values
-    ]
+    """Dense (qstep_s, qstep_t) grid of error ratios, indexed [s][t].
+
+    Each point equals error_ratio's on its cell.  Each target step's direct
+    runs and E_a sum are built once, and each source step's level runs once
+    for its row, so a cell costs only its chain's runs.  Nothing outlives
+    the call.
+    """
+    _require_metric(metric)
+    power = _power(metric)
+    a, b, _ = _magnitudes(domain)
+    targets = []
+    for qt in qstep_t_values:
+        q_t = Quantizer(qt, offset, tie_break)
+        targets.append((q_t, _direct_runs(q_t, domain).error_sum(power)))
+    surface = []
+    for qs in qstep_s_values:
+        q_s = Quantizer(qs, offset, tie_break)
+        source = _level_runs(q_s, a, b)
+        surface.append([
+            _point(q_s, q_t, sum_a, _chain_runs(q_s, source, q_t, domain).error_sum(power),
+                   domain, metric)
+            for q_t, sum_a in targets
+        ])
+    return surface
 
 
 def _aligned_residue(ratio: Fraction, f: Fraction) -> Optional[int]:
@@ -368,22 +465,33 @@ def _aligned_residue(ratio: Fraction, f: Fraction) -> Optional[int]:
     return int(g) * pow(p, -1, q) % q if g.denominator == 1 else None
 
 
+def _boundary_ranges(q_t: Quantizer, domain: CoefficientDomain) -> list[tuple[int, int]]:
+    """(k_lo, k_hi) for each side of zero whose domain part holds q_t decision
+    boundaries k_lo..k_hi; ValueError if neither does.
+
+    Boundary k >= 1 lies at +-(k - f)*t; the negative side mirrors [-hi, -lo].
+    """
+    t, f = q_t.step, q_t.offset
+    ranges = []
+    for lo, hi in ((domain.lo, domain.hi), (-domain.hi, -domain.lo)):
+        k_lo, k_hi = max(1, math.ceil(lo / t + f)), math.floor(hi / t + f)
+        if k_hi >= k_lo:
+            ranges.append((k_lo, k_hi))
+    if not ranges:
+        raise ValueError("domain contains no target-step decision boundaries")
+    return ranges
+
+
 def _aligned_fraction(
     q_t: Quantizer, q: int, k0: Optional[int], domain: CoefficientDomain
 ) -> Fraction:
     """Fraction of q_t decision boundaries in the domain that are also source
     boundaries, where every q-th target boundary from k0 on is one."""
-    t, f = q_t.step, q_t.offset
     total = aligned = 0
-    # Boundary k >= 1 lies at +-(k - f)*t; the negative side mirrors [-hi, -lo].
-    for lo, hi in ((domain.lo, domain.hi), (-domain.hi, -domain.lo)):
-        k_lo, k_hi = max(1, math.ceil(lo / t + f)), math.floor(hi / t + f)
-        if k_hi >= k_lo:
-            total += k_hi - k_lo + 1
-            if k0 is not None:
-                aligned += (k_hi - k0) // q - (k_lo - 1 - k0) // q
-    if not total:
-        raise ValueError("domain contains no target-step decision boundaries")
+    for k_lo, k_hi in _boundary_ranges(q_t, domain):
+        total += k_hi - k_lo + 1
+        if k0 is not None:
+            aligned += (k_hi - k0) // q - (k_lo - 1 - k0) // q
     return Fraction(aligned, total)
 
 

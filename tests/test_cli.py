@@ -510,6 +510,23 @@ class TestRequantCommands:
         assert code == 0
         assert len(_rows(out)) == 2
 
+    @pytest.mark.parametrize("domain", ["0:0", "-12:12", "14:38"])
+    def test_overlap_domain_without_a_target_boundary_is_usage_error(
+        self, domain, tmp_path, capsys, monkeypatch
+    ):
+        # At offset 1/2 the target step 26 puts its boundaries at +-13, +-39,
+        # ...: the flags alone show that none lies in the domain, so the
+        # command is refused before the report starts.
+        calls = []
+        monkeypatch.setattr(cpdtlab.cli, "boundary_overlap", lambda *args: calls.append(args))
+        code = main(["requant", "overlap", "--qstep-s", "12", "--qstep-t", "26",
+                     "--offset", "1/2", f"--domain={domain}", "--out", str(tmp_path / "n.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: domain contains no target-step decision boundaries\n"
+        )
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
 
 class TestRdCurve:
     def test_rows_follow_requested_qps(self, tmp_path):

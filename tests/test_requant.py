@@ -18,6 +18,7 @@ from cpdtlab.acceptance import (
     _convention_audit,
     _matches_reference,
 )
+from cpdtlab import requant
 from cpdtlab.quantizer import AWAY_FROM_ZERO, TOWARD_ZERO, Quantizer
 from cpdtlab.requant import (
     DEFAULT_DOMAIN,
@@ -236,6 +237,11 @@ _run_windows = st.one_of(
     ])),
 )
 
+# 17-decimal target steps whose wrapped-product bound, at source step 7, lies
+# just below and just above 2^62.
+_BELOW_BOUND = Fraction(2**62 - 8 * 10**17 - 1, 10**17)
+_ABOVE_BOUND = Fraction(2**62 - 8 * 10**17 + 3, 10**17)
+
 # A source step within a quarter of the target step (targets 1/2 to 64),
 # and offsets strictly inside (0, 1).
 _near_steps = st.tuples(
@@ -269,6 +275,22 @@ class TestLevelRuns:
     @example(step_s=7, step_t=Fraction("12.34567890123456789"), offset_s=Fraction(1, 3),
              offset_t=Fraction(1, 3), tie_s=AWAY_FROM_ZERO, tie_t=TOWARD_ZERO,
              domain=CoefficientDomain(-600, 599))
+    # The mean-abs sum forms each run-start error s*q - k*p (target step p/q)
+    # in wrapping int64 products where p + q*(ceil(source step) + 1) < 2^62.
+    # Here that bound is 2^62 - 1, then 2^62 + 3, where Python ints take over.
+    @example(step_s=7, step_t=_BELOW_BOUND, offset_s=Fraction(1, 3), offset_t=Fraction(1, 3),
+             tie_s=TOWARD_ZERO, tie_t=AWAY_FROM_ZERO, domain=CoefficientDomain(-600, 599))
+    @example(step_s=7, step_t=_ABOVE_BOUND, offset_s=Fraction(1, 3), offset_t=Fraction(1, 3),
+             tie_s=TOWARD_ZERO, tie_t=AWAY_FROM_ZERO, domain=CoefficientDomain(-600, 599))
+    # Far above it, some chain run-start errors pass 2^63 while p and q stay
+    # int64: wrapped products would give a wrong sum without a word.
+    @example(step_s=20, step_t=Fraction(9 * 10**18 + 1, 10**17), offset_s=Fraction(9, 10),
+             offset_t=Fraction(9, 10), tie_s=TOWARD_ZERO, tie_t=TOWARD_ZERO,
+             domain=CoefficientDomain(-600, 599))
+    # A source step below 1 on the wrapped path: every magnitude is a source run.
+    @example(step_s=Fraction("0.12345678901234567"), step_t=Fraction("12.34567890123456789"),
+             offset_s=Fraction(1, 6), offset_t=Fraction(1, 3), tie_s=TOWARD_ZERO,
+             tie_t=AWAY_FROM_ZERO, domain=CoefficientDomain(-600, 599))
     @settings(max_examples=300, deadline=None)
     def test_run_sums_equal_pointwise_sums(
         self, step_s, step_t, offset_s, offset_t, tie_s, tie_t, domain
@@ -468,6 +490,52 @@ class TestSweepAndSurface:
         surf = error_surface([10, 12], iter([13, 14]), domain)
         assert surf == error_surface([10, 12], [13, 14], domain)
         assert [len(row) for row in surf] == [2, 2]
+
+
+class TestSharedTables:
+    @given(
+        steps_s=st.lists(extreme_steps, min_size=1, max_size=2),
+        steps_t=st.lists(extreme_steps, min_size=1, max_size=3),
+        offset=extreme_offsets, tie_break=tie_breaks, metric=st.sampled_from(METRICS),
+        domain=_run_windows,
+    )
+    @example(steps_s=[7, 12], steps_t=[13, Fraction("12.34567890123456789")],
+             offset=Fraction(1, 3), tie_break=AWAY_FROM_ZERO, metric=MEAN_ABS,
+             domain=CoefficientDomain(-_I64, -_I64 + 599))
+    @example(steps_s=[Fraction("12.5")], steps_t=[Fraction("17.1"), 24], offset=Fraction(1, 2),
+             tie_break=TOWARD_ZERO, metric=RMS, domain=CoefficientDomain(_I64 - 599, _I64))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_tables_give_single_cell_points(
+        self, steps_s, steps_t, offset, tie_break, metric, domain
+    ):
+        # A surface shares each source's and each target's runs across its
+        # cells; every point must still be error_ratio's on its cell.
+        surface = error_surface(steps_s, steps_t, domain, metric, offset, tie_break)
+        assert len(surface) == len(steps_s)
+        for step_s, row in zip(steps_s, surface):
+            q_s = Quantizer(step_s, offset, tie_break)
+            cells = [error_ratio(q_s, Quantizer(step_t, offset, tie_break), domain, metric)
+                     for step_t in steps_t]
+            assert row == cells
+            assert sweep_qstep_t(step_s, steps_t, domain, metric, offset, tie_break) == cells
+
+    def test_each_step_builds_its_level_runs_once(self, monkeypatch):
+        # An S x T surface builds S source and T direct run tables, not one of
+        # each per cell.
+        steps = []
+        level_runs = requant._level_runs
+
+        def spy(q, a, b):
+            steps.append(q.step)
+            return level_runs(q, a, b)
+
+        monkeypatch.setattr(requant, "_level_runs", spy)
+        sources, targets = [7, 10, 12], [13, 14, Fraction("17.1"), 24]
+        error_surface(sources, targets, CoefficientDomain(-2048, 2047), MSE)
+        assert sorted(steps) == sorted(map(Fraction, sources + targets))
+        steps.clear()
+        sweep_qstep_t(12, targets, CoefficientDomain(-2048, 2047))
+        assert len(steps) == 1 + len(targets)
 
 
 class TestBoundaryOverlap:
