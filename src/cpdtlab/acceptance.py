@@ -39,7 +39,10 @@ from .requant import (
     DEFAULT_DOMAIN,
     METRICS,
     RequantPoint,
-    _runs,
+    _chain_runs,
+    _direct_runs,
+    _level_runs,
+    _magnitudes,
     _violations,
     boundary_overlap,
     error_ratio,
@@ -91,10 +94,14 @@ def _check_integer_multiple_identity() -> tuple[bool, str]:
 def _check_pointwise_dominance() -> tuple[bool, str]:
     """Chain error never beats direct error, pointwise, anywhere on the grid."""
     q_s = Quantizer(_SOURCE_STEP)
+    a, b, _ = _magnitudes(DEFAULT_DOMAIN)
+    source = _level_runs(q_s, a, b)
     violations = 0
     ratio_below_one = 0
     for qt in _TARGET_STEPS:
-        direct, chain = _runs(q_s, Quantizer(qt), DEFAULT_DOMAIN)
+        q_t = Quantizer(qt)
+        direct = _direct_runs(q_t, DEFAULT_DOMAIN)
+        chain = _chain_runs(q_s, source, q_t, DEFAULT_DOMAIN)
         violations += _violations(direct, chain)
         ratio_below_one += chain.error_sum(1) < direct.error_sum(1)
     detail = (

@@ -243,11 +243,11 @@ class _Runs:
 
     def error_sum(self, power: int) -> int:
         """Exact sum over the domain of |m*q - k*p|**power, for power 1 or 2,
-        with the step factored out (see the module docstring).
+        from the factored totals of the module docstring.
 
         With M the largest magnitude or level and N the number of magnitudes,
-        every array term below, doubled runs included, stays within
-        16*N*(M + 1)**2, so int64 carries them where that fits.
+        every array term below stays within 16*N*(M + 1)**2, so int64 carries
+        them where that fits.
         """
         p, q = self.step.numerator, self.step.denominator
         last = int(self.starts[-1]) + int(self.n[-1]) - 1
@@ -258,21 +258,19 @@ class _Runs:
         w = 1 + (self.starts <= self.near)
         two_sums = n * (2 * s + n - 1)  # twice the sum of each run's magnitudes
         if power == 2:
-            # Sum of (m*q - k*p)^2 = q^2*A - 6*p*q*B + 6*p^2*C, over 6, with
-            # A = 6*sum(m^2), B = k*2*sum(m) and C = n*k^2 summed over the runs.
+            # a is 6 times a sum of squares, so the numerator divides by 6.
             a = int((w * n * (6 * s * s + 6 * s * (n - 1) + (n - 1) * (2 * n - 1))).sum())
             b = int((w * k * two_sums).sum())
             c = int((w * n * k * k).sum())
             return (q * q * a - 6 * p * q * b + 6 * p * p * c) // 6
-        # The first c magnitudes of a run, those with m*q <= k*p, count with
-        # the other sign: the run sums to q*(2*sum(m) - 4*c*s - 2*c*(c - 1))/2
-        # - p*k*(n - 2*c).  c comes from the run-start error u = s*q - k*p.
+        # c counts a run's magnitudes with m*q <= k*p, from the run-start error u.
         if fits and self.reach < _INT64_SAFE:
             # |u| < reach < 2^62, so int64 products that wrap still give u exactly.
             u = s * np.int64(q) - k * np.int64(p)
         else:
             u = _error_numerators(s, k, self.step)
         c = np.clip(-u // q + 1, 0, n).astype(s.dtype, copy=False)
+        # Each n*(2s + n - 1) is even, so x is and q*x//2 is exact.
         x = int((w * (two_sums - 4 * c * s - 2 * c * (c - 1))).sum())
         y = int((w * k * (n - 2 * c)).sum())
         return q * x // 2 - p * y
@@ -290,9 +288,8 @@ def _table(
     """The _Runs of runs from `starts` at `levels` over the domain's magnitudes.
 
     A run that holds both near and near + 1 is split there.  Zero's error is
-    0 on both chains, so its count never matters.  An error is at most
-    step + source_step (0 on the direct chain), so every |m*q - k*p| lies
-    below p + q*(ceil(source_step) + 1).
+    0 on both chains, so its count never matters.  `reach` bounds every
+    |m*q - k*p| as the module docstring says.
     """
     _, b, near = _magnitudes(domain)
     i = int(np.searchsorted(starts, near, side="right"))
@@ -435,19 +432,19 @@ def error_surface(
     """
     _require_metric(metric)
     power = _power(metric)
+    sources = [Quantizer(qs, offset, tie_break) for qs in qstep_s_values]
+    if not sources:
+        return []
+    targets = [Quantizer(qt, offset, tie_break) for qt in qstep_t_values]
+    sums_a = [_direct_runs(q_t, domain).error_sum(power) for q_t in targets]
     a, b, _ = _magnitudes(domain)
-    targets = []
-    for qt in qstep_t_values:
-        q_t = Quantizer(qt, offset, tie_break)
-        targets.append((q_t, _direct_runs(q_t, domain).error_sum(power)))
     surface = []
-    for qs in qstep_s_values:
-        q_s = Quantizer(qs, offset, tie_break)
+    for q_s in sources:
         source = _level_runs(q_s, a, b)
         surface.append([
             _point(q_s, q_t, sum_a, _chain_runs(q_s, source, q_t, domain).error_sum(power),
                    domain, metric)
-            for q_t, sum_a in targets
+            for q_t, sum_a in zip(targets, sums_a)
         ])
     return surface
 

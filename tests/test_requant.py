@@ -537,6 +537,19 @@ class TestSharedTables:
         sweep_qstep_t(12, targets, CoefficientDomain(-2048, 2047))
         assert len(steps) == 1 + len(targets)
 
+    def test_bad_steps_raise_before_any_run_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("run table built")
+
+        monkeypatch.setattr(requant, "_level_runs", refuse)
+        with pytest.raises(ValueError, match="step"):
+            sweep_qstep_t(0, [13, 14])
+        with pytest.raises(ValueError, match="step"):
+            error_surface([12, -1], [13, 14])
+        with pytest.raises(ValueError, match="step"):
+            error_surface([12], [13, 0])
+        assert error_surface([], [13, 14]) == []
+
 
 class TestBoundaryOverlap:
     def test_equal_steps(self):
