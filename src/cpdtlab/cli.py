@@ -207,10 +207,10 @@ def _fmt(value: object) -> str:
 
 
 # Namespace entries a CSV does not echo: the command words, which the
-# `# command:` line spells, the handler, and the output paths, which say where
-# a result goes rather than what it is.  A new output-path flag is listed
-# here; every other parsed value is echoed.
-_NOT_ECHOED = frozenset({"command", "subcommand", "handler", "out", "out_prefix"})
+# `# command:` line spells, the handler and the pre-work check, and the output
+# paths, which say where a result goes rather than what it is.  A new
+# output-path flag is listed here; every other parsed value is echoed.
+_NOT_ECHOED = frozenset({"command", "subcommand", "handler", "check", "out", "out_prefix"})
 
 
 def _csv(
@@ -325,27 +325,21 @@ def _cmd_requant_overlap(args: argparse.Namespace) -> dict[Path, bytes]:
     return {Path(args.out): _csv(args, columns, [report])}
 
 
-def _content_spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ContentSpec:
-    """gen-content's plane; a bad value is a usage error, raised before any allocation."""
-    try:
-        return ContentSpec(
-            seed=args.seed, complexity=args.complexity, width=args.width, height=args.height
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+def _content_spec(args: argparse.Namespace) -> ContentSpec:
+    """gen-content's plane; its ValueError, raised before any allocation, is a usage error."""
+    return ContentSpec(
+        seed=args.seed, complexity=args.complexity, width=args.width, height=args.height
+    )
 
 
-def _check_overlap_domain(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """requant overlap's domain must hold a target-step decision boundary; one
-    that holds none is a usage error, found before any work."""
-    try:
-        _boundary_ranges(Quantizer(args.qstep_t.value, args.offset.value), args.domain.value)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _check_overlap_domain(args: argparse.Namespace) -> None:
+    """requant overlap's domain must hold a target-step decision boundary; the
+    ValueError for one that holds none is a usage error, found before any work."""
+    _boundary_ranges(Quantizer(args.qstep_t.value, args.offset.value), args.domain.value)
 
 
 def _cmd_gen_content(args: argparse.Namespace) -> dict[Path, bytes]:
-    return {Path(args.out): encode_pgm(synth_content(args.spec))}
+    return {Path(args.out): encode_pgm(synth_content(_content_spec(args)))}
 
 
 def _cmd_rd_curve(args: argparse.Namespace) -> dict[Path, bytes]:
@@ -445,6 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Requantization error analysis and cascaded transcoding experiments.",
     )
     parser.add_argument("--version", action="version", version=f"cpdtlab {__version__}")
+    # Each command's check judges its parsed flags before any work; most need none.
+    parser.set_defaults(check=lambda args: None)
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     requant = sub.add_parser("requant", help="requantization error analysis")
@@ -473,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     overlap.add_argument("--qstep-t", type=_rational_arg, required=True, help="target step")
     _add_quant_flags(overlap, include_metric=False)
     overlap.add_argument("--out", required=True, help="output CSV path")
-    overlap.set_defaults(handler=_cmd_requant_overlap)
+    overlap.set_defaults(handler=_cmd_requant_overlap, check=_check_overlap_domain)
 
     gen = sub.add_parser("gen-content", help="write a deterministic synthetic plane")
     gen.add_argument("--seed", type=int, required=True, help="random seed")
@@ -485,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"plane height (default {DEFAULT_PLANE_SIZE}); "
                      f"width x height <= {MAX_PIXELS}")
     gen.add_argument("--out", required=True, help="output PGM path")
-    gen.set_defaults(handler=_cmd_gen_content)
+    gen.set_defaults(handler=_cmd_gen_content, check=_content_spec)
 
     curve = sub.add_parser("rd-curve", help="rate-distortion curve of a plane")
     curve.add_argument("--input", required=True, help="input PGM path")
@@ -523,10 +519,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen-content":
-            args.spec = _content_spec(parser, args)
-        elif args.command == "requant" and args.subcommand == "overlap":
-            _check_overlap_domain(parser, args)
+        try:
+            args.check(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

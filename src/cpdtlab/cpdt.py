@@ -132,13 +132,21 @@ def _rd_curve(samples: Sequence[RDPoint]) -> RDCurve:
     return RDCurve(samples=tuple(samples), points=tuple(cleaned))
 
 
+def _checked_qps(qps: Sequence[int]) -> list[int]:
+    """The qps as a list, each judged by the one qp rule, qp_to_qstep, before any work."""
+    qps = list(qps)
+    for qp in qps:
+        qp_to_qstep(qp)
+    return qps
+
+
 def build_rd_curve(
     plane: np.ndarray,
     qps: Sequence[int] = QP_RANGE,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> RDCurve:
-    """Encode/decode the plane at each qp, as qp_to_qstep judges it, and assemble its RD curve."""
-    qps = sorted(set(qps))
+    """Encode/decode the plane at each qp and assemble its RD curve; every qp is judged first."""
+    qps = sorted(set(_checked_qps(qps)))
     if not qps:
         raise ValueError("need at least one qp")
     scorer = _Scorer(plane, block_size)
@@ -197,9 +205,7 @@ def full_sweep(
     the PSNR (codec._Scorer).  These passes run in float32, exact on the
     16-bit dequantized values, so each moves half the bytes of float64.
     """
-    qp_s_values, qp_t_values = list(qp_s_values), list(qp_t_values)  # each is read twice
-    for qp in (*qp_s_values, *qp_t_values):
-        qp_to_qstep(qp)  # the one qp rule, before any work
+    qp_s_values, qp_t_values = _checked_qps(qp_s_values), _checked_qps(qp_t_values)
     wanted = set(qp_s_values)
     scorer = _Scorer(plane, block_size)
     samples, sources = [], {}

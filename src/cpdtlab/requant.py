@@ -21,15 +21,15 @@ from s on at level k, the squared sum is (q^2*A - 6*p*q*B + 6*p^2*C)/6 with
 A = sum 6*sum(m^2), B = sum k*2*sum(m) and C = sum n*k^2, and the absolute
 sum is q*X/2 - p*Y with X = sum n*(2s + n - 1) - 4cs - 2c(c - 1) and
 Y = sum k*(n - 2c), where c counts a run's magnitudes below k*t.  So the run
-arrays hold only magnitudes, levels and counts, in int64 on the 16-bit
-domain for every target step of 0.012 or more, and p and q enter Python-int
-totals.
-c comes from the run-start error s*q - k*p, formed in wrapping int64
-products: an error is at most t on the direct chain and s + t on the
-two-stage one, so that is exact while p + q*(ceil(s) + 1) < 2^62, and
-Python ints take over past it.  A sweep or surface builds each source
-step's level runs, and each target step's direct runs and E_a, once per
-call, so a cell costs only its chain's runs.
+arrays hold only magnitudes, levels and counts, and p and q enter Python-int
+totals.  A run table picks their integer type once, when it is built: int64
+on the 16-bit domain for every target step of 0.012 or more.  c comes from
+the run-start errors s*q - k*p and the worst case from the run-end ones,
+both formed in wrapping int64 products: an error is at most t on the direct
+chain and s + t on the two-stage one, so that is exact while
+p + q*(ceil(s) + 1) < 2^62, and Python ints take over past it.  A sweep or
+surface builds each source step's level runs, and each target step's direct
+runs and E_a, once per call, so a cell costs only its chain's runs.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ def _metric_float(value: float, metric: str) -> float:
 
 
 def _error_numerators(x: np.ndarray, levels: np.ndarray, step: Fraction) -> np.ndarray:
-    """Exact signed x*q - levels*p for integer x and step = p/q: the error
-    x - levels*step times q, an integer, so sums of errors stay exact.
+    """Exact signed x*q - levels*p for integer x and step = p/q, value by value
+    as the test oracle forms it: the error x - levels*step times q, an integer.
 
     _exact_ints keeps each int64 product below 2^62, so the difference of two
     of them fits in int64 too.
@@ -228,10 +228,10 @@ class _Runs:
 
     Run i covers the n[i] magnitudes from starts[i] on, at level levels[i].
     Along it the signed error numerator m*q - k*p (magnitude m, target step
-    p/q) rises by q per magnitude, so its sums have closed forms, and every
-    |m*q - k*p| lies below `reach`.  No run holds both near and near + 1: the
-    runs that start at or below near are those that x takes with both signs,
-    and they count twice.
+    p/q) rises by q per magnitude, so its sums have closed forms.  `wraps`
+    says whether wrapped int64 products give every m*q - k*p exactly.  No run
+    holds both near and near + 1: the runs that start at or below near are
+    those that x takes with both signs, and they count twice.
     """
 
     starts: np.ndarray
@@ -239,23 +239,21 @@ class _Runs:
     n: np.ndarray
     near: int
     step: Fraction
-    reach: int
+    wraps: bool
+
+    def errors(self, m: np.ndarray) -> np.ndarray:
+        """Signed m*q - k*p at one magnitude m per run (or per run in each row)."""
+        p, q = self.step.numerator, self.step.denominator
+        if self.wraps:
+            return m * np.int64(q) - self.levels * np.int64(p)
+        return m.astype(object, copy=False) * q - self.levels.astype(object, copy=False) * p
 
     def error_sum(self, power: int) -> int:
         """Exact sum over the domain of |m*q - k*p|**power, for power 1 or 2,
-        from the factored totals of the module docstring.
-
-        With M the largest magnitude or level and N the number of magnitudes,
-        every array term below stays within 16*N*(M + 1)**2, so int64 carries
-        them where that fits.
-        """
+        from the factored totals of the module docstring."""
         p, q = self.step.numerator, self.step.denominator
-        last = int(self.starts[-1]) + int(self.n[-1]) - 1
-        top = max(last, int(self.levels.max()))
-        fits = 16 * int(self.n.sum()) * (top + 1) ** 2 < _INT64_SAFE
-        s, n, k = (a.astype(np.int64 if fits else object, copy=False)
-                   for a in (self.starts, self.n, self.levels))
-        w = 1 + (self.starts <= self.near)
+        s, n, k = self.starts, self.n, self.levels
+        w = 1 + (s <= self.near)
         two_sums = n * (2 * s + n - 1)  # twice the sum of each run's magnitudes
         if power == 2:
             # a is 6 times a sum of squares, so the numerator divides by 6.
@@ -263,13 +261,8 @@ class _Runs:
             b = int((w * k * two_sums).sum())
             c = int((w * n * k * k).sum())
             return (q * q * a - 6 * p * q * b + 6 * p * p * c) // 6
-        # c counts a run's magnitudes with m*q <= k*p, from the run-start error u.
-        if fits and self.reach < _INT64_SAFE:
-            # |u| < reach < 2^62, so int64 products that wrap still give u exactly.
-            u = s * np.int64(q) - k * np.int64(p)
-        else:
-            u = _error_numerators(s, k, self.step)
-        c = np.clip(-u // q + 1, 0, n).astype(s.dtype, copy=False)
+        # c counts a run's magnitudes with m*q <= k*p, from the run-start error.
+        c = np.clip(-self.errors(s) // q + 1, 0, n).astype(s.dtype, copy=False)
         # Each n*(2s + n - 1) is even, so x is and q*x//2 is exact.
         x = int((w * (two_sums - 4 * c * s - 2 * c * (c - 1))).sum())
         y = int((w * k * (n - 2 * c)).sum())
@@ -277,8 +270,8 @@ class _Runs:
 
     def max_error(self) -> int:
         """Largest |m*q - k*p| over the domain: a linear error peaks at a run end."""
-        ends = np.stack([self.starts, self.starts + (self.n - 1)])
-        return int(np.abs(_error_numerators(ends, self.levels, self.step)).max())
+        ends = self.starts + (self.n - 1)
+        return int(np.abs(self.errors(np.stack([self.starts, ends]))).max())
 
 
 def _table(
@@ -288,17 +281,21 @@ def _table(
     """The _Runs of runs from `starts` at `levels` over the domain's magnitudes.
 
     A run that holds both near and near + 1 is split there.  Zero's error is
-    0 on both chains, so its count never matters.  `reach` bounds every
-    |m*q - k*p| as the module docstring says.
+    0 on both chains, so its count never matters.  Levels never decrease
+    along a table, so over the N magnitudes a..b, with M = max(b, levels[-1]),
+    every array term of error_sum stays within 16*N*(M + 1)**2.
     """
-    _, b, near = _magnitudes(domain)
+    a, b, near = _magnitudes(domain)
     i = int(np.searchsorted(starts, near, side="right"))
     if 0 < i and near < b and (i == starts.size or starts[i] > near + 1):
         starts = np.insert(starts, i, near + 1)
         levels = np.insert(levels, i, levels[i - 1])
     n = np.append(starts[1:] - 1, b) - starts + 1
+    top = max(b, int(levels[-1]))
+    dtype = np.int64 if 16 * (b - a + 1) * (top + 1) ** 2 < _INT64_SAFE else object
+    starts, levels, n = (x.astype(dtype, copy=False) for x in (starts, levels, n))
     reach = step.numerator + step.denominator * (math.ceil(source_step) + 1)
-    return _Runs(starts, levels, n, near, step, reach)
+    return _Runs(starts, levels, n, near, step, dtype is np.int64 and reach < _INT64_SAFE)
 
 
 def _direct_runs(q_t: Quantizer, domain: CoefficientDomain) -> _Runs:

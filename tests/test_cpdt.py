@@ -79,6 +79,17 @@ class TestRDCurve:
         with pytest.raises(ValueError, match=match):
             build_rd_curve(plane64, qps=qps, block_size=block_size)
 
+    @pytest.mark.parametrize("qps, error", [([20, 99], ValueError), ([20, "x"], TypeError)])
+    def test_qps_checked_before_any_work(self, plane64, qps, error, monkeypatch):
+        # Every qp is judged before sorting and before the scorer is built,
+        # so neither the scorer nor sorted() can raise first.
+        def no_scorer(*args):
+            raise AssertionError("the scorer was built before every qp was checked")
+
+        monkeypatch.setattr(cpdt, "_Scorer", no_scorer)
+        with pytest.raises(error, match="qp must"):
+            build_rd_curve(plane64, qps)
+
 
 @pytest.mark.parametrize(
     "entry",

@@ -414,6 +414,20 @@ class TestLevelRuns:
             assert any(is_object for _, is_object in calls)
             assert sum(size for size, _ in calls) < DEFAULT_DOMAIN.size // 10
 
+    def test_run_errors_have_one_form(self, monkeypatch):
+        # A run table forms every m*q - k*p itself, at run starts for the
+        # sums and at run ends for the worst case: the value-by-value form is
+        # the test oracle's alone.
+        def spy(*args):
+            raise AssertionError("_error_numerators called")
+
+        monkeypatch.setattr(requant, "_error_numerators", spy)
+        q_s = Quantizer(7, Fraction(1, 3))
+        q_t = Quantizer("12.34567890123456789", Fraction(1, 3))
+        boundary_overlap(q_s, q_t, DEFAULT_DOMAIN)
+        for metric in METRICS:
+            error_ratio(q_s, q_t, DEFAULT_DOMAIN, metric)
+
 
 class TestDominanceAndTrend:
     @given(
