@@ -41,8 +41,6 @@ from .requant import (
     RequantPoint,
     _chain_runs,
     _direct_runs,
-    _level_runs,
-    _magnitudes,
     _violations,
     boundary_overlap,
     error_ratio,
@@ -93,15 +91,11 @@ def _check_integer_multiple_identity() -> tuple[bool, str]:
 
 def _check_pointwise_dominance() -> tuple[bool, str]:
     """Chain error never beats direct error, pointwise, anywhere on the grid."""
-    q_s = Quantizer(_SOURCE_STEP)
-    a, b, _ = _magnitudes(DEFAULT_DOMAIN)
-    source = _level_runs(q_s, a, b)
+    targets = [Quantizer(qt) for qt in _TARGET_STEPS]
     violations = 0
     ratio_below_one = 0
-    for qt in _TARGET_STEPS:
-        q_t = Quantizer(qt)
+    for q_t, chain in zip(targets, _chain_runs(Quantizer(_SOURCE_STEP), targets, DEFAULT_DOMAIN)):
         direct = _direct_runs(q_t, DEFAULT_DOMAIN)
-        chain = _chain_runs(q_s, source, q_t, DEFAULT_DOMAIN)
         violations += _violations(direct, chain)
         ratio_below_one += chain.error_sum(1) < direct.error_sum(1)
     detail = (

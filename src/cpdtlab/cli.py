@@ -207,10 +207,11 @@ def _fmt(value: object) -> str:
 
 
 # Namespace entries a CSV does not echo: the command words, which the
-# `# command:` line spells, the handler and the pre-work check, and the output
-# paths, which say where a result goes rather than what it is.  A new
-# output-path flag is listed here; every other parsed value is echoed.
-_NOT_ECHOED = frozenset({"command", "subcommand", "handler", "check", "out", "out_prefix"})
+# `# command:` line spells, the handler, the pre-work check and its parser, and
+# the output paths, which say where a result goes rather than what it is.  A
+# new output-path flag is listed here; every other parsed value is echoed.
+_NOT_ECHOED = frozenset(
+    {"command", "subcommand", "handler", "check", "parser", "out", "out_prefix"})
 
 
 def _csv(
@@ -469,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     overlap.add_argument("--qstep-t", type=_rational_arg, required=True, help="target step")
     _add_quant_flags(overlap, include_metric=False)
     overlap.add_argument("--out", required=True, help="output CSV path")
-    overlap.set_defaults(handler=_cmd_requant_overlap, check=_check_overlap_domain)
+    overlap.set_defaults(handler=_cmd_requant_overlap, check=_check_overlap_domain, parser=overlap)
 
     gen = sub.add_parser("gen-content", help="write a deterministic synthetic plane")
     gen.add_argument("--seed", type=int, required=True, help="random seed")
@@ -481,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"plane height (default {DEFAULT_PLANE_SIZE}); "
                      f"width x height <= {MAX_PIXELS}")
     gen.add_argument("--out", required=True, help="output PGM path")
-    gen.set_defaults(handler=_cmd_gen_content, check=_content_spec)
+    gen.set_defaults(handler=_cmd_gen_content, check=_content_spec, parser=gen)
 
     curve = sub.add_parser("rd-curve", help="rate-distortion curve of a plane")
     curve.add_argument("--input", required=True, help="input PGM path")
@@ -522,7 +523,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             args.check(args)
         except ValueError as exc:
-            parser.error(str(exc))
+            args.parser.error(str(exc))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

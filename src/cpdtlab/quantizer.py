@@ -52,19 +52,19 @@ QP_RANGE = range(0, 52)
 _INT64_SAFE = 1 << 62
 
 
-def _exact_ints(arr: np.ndarray, scale: int, extra: int = 0, power: int = 1) -> np.ndarray:
+def _exact_ints(arr: np.ndarray, scale: int, extra: int = 0) -> np.ndarray:
     """arr as int64 if the caller's exact arithmetic on it fits there, else as
     Python ints (object dtype).
 
     The caller promises that, with m = max|arr|, nothing it forms from arr,
-    Python-int operands included, exceeds (m + 1)**power * scale + extra in
-    magnitude; the +1 counts a multiplier even when arr is all zero.  Object
-    input is returned unscanned, and an int64 result is not copied.
+    Python-int operands included, exceeds (m + 1)*scale + extra in magnitude;
+    the +1 counts a multiplier even when arr is all zero.  Object input is
+    returned unscanned, and an int64 result is not copied.
     """
     if arr.dtype == object:
         return arr
     m = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
-    fits = (m + 1) ** power * scale + extra < _INT64_SAFE
+    fits = (m + 1) * scale + extra < _INT64_SAFE
     return arr.astype(np.int64 if fits else object, copy=False)
 
 

@@ -12,9 +12,9 @@ arithmetic is exact integer/rational, so structural identities such as
 "E_b/E_a == 1 when the target step is an integer multiple of the source step
 at offset 0" hold with zero tolerance.  The error sums come in closed form per
 run of equal quantizer level, so their cost follows the number of runs, not
-the number of values.  One builder, _runs, makes a cell's two run tables; the
-error sums, the worst-case errors and the count of values where the chain
-beats the direct quantizer all read them.
+the number of values.  _direct_runs and the row generator _chain_runs build
+the run tables that the error sums, the worst-case errors and the count of
+values where the chain beats the direct quantizer all read.
 
 The target step p/q factors out of the sums.  Over runs of n magnitudes m
 from s on at level k, the squared sum is (q^2*A - 6*p*q*B + 6*p^2*C)/6 with
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -305,18 +305,20 @@ def _direct_runs(q_t: Quantizer, domain: CoefficientDomain) -> _Runs:
 
 
 def _chain_runs(
-    q_s: Quantizer, source: tuple[np.ndarray, np.ndarray], q_t: Quantizer,
-    domain: CoefficientDomain,
-) -> _Runs:
-    """The two-stage chain's runs, from the source's level runs over the domain.
+    q_s: Quantizer, targets: Sequence[Quantizer], domain: CoefficientDomain
+) -> Iterator[_Runs]:
+    """The two-stage chain's runs for each target of a row, one table at a time:
+    as a list, a 10000-step row of steps near 1 on the 16-bit domain holds gigabytes.
 
-    The second stage quantizes only the distinct source levels, and source
-    runs with equal target levels merge.
+    The source's level runs are built once.  The second stage quantizes only
+    the distinct source levels, and source runs with equal target levels merge.
     """
-    starts, levels = source
-    levels = _requantizer(q_s, q_t).quantize_scaled(levels)
-    new = np.concatenate(([True], levels[1:] != levels[:-1]))
-    return _table(starts[new], levels[new], domain, q_t.step, q_s.step)
+    a, b, _ = _magnitudes(domain)
+    starts, levels = _level_runs(q_s, a, b)
+    for q_t in targets:
+        chain = _requantizer(q_s, q_t).quantize_scaled(levels)
+        new = np.concatenate(([True], chain[1:] != chain[:-1]))
+        yield _table(starts[new], chain[new], domain, q_t.step, q_s.step)
 
 
 def _runs(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tuple[_Runs, _Runs]:
@@ -325,8 +327,7 @@ def _runs(q_s: Quantizer, q_t: Quantizer, domain: CoefficientDomain) -> tuple[_R
     Both quantizers are odd, so an error depends only on |x|: the domain is
     the magnitudes a..b, and those up to `near` count twice, once per sign of x.
     """
-    a, b, _ = _magnitudes(domain)
-    return _direct_runs(q_t, domain), _chain_runs(q_s, _level_runs(q_s, a, b), q_t, domain)
+    return _direct_runs(q_t, domain), next(_chain_runs(q_s, [q_t], domain))
 
 
 def _violations(direct: _Runs, chain: _Runs) -> int:
@@ -394,6 +395,8 @@ def error_ratio(
     The cost follows the number of level runs, not the domain size.
     """
     _require_metric(metric)
+    for q in (q_s, q_t):
+        _step_float(q.step)
     power = _power(metric)
     direct, chain = _runs(q_s, q_t, domain)
     return _point(q_s, q_t, direct.error_sum(power), chain.error_sum(power), domain, metric)
@@ -422,10 +425,10 @@ def error_surface(
 ) -> list[list[RequantPoint]]:
     """Dense (qstep_s, qstep_t) grid of error ratios, indexed [s][t].
 
-    Each point equals error_ratio's on its cell.  Each target step's direct
-    runs and E_a sum are built once, and each source step's level runs once
-    for its row, so a cell costs only its chain's runs.  Nothing outlives
-    the call.
+    Each point equals error_ratio's on its cell.  Every step is judged, the
+    sources first, before any run table.  Each target step's direct runs and
+    E_a sum are built once, and each row sums _chain_runs' tables as they
+    come, so a cell costs only its chain's runs.  Nothing outlives the call.
     """
     _require_metric(metric)
     power = _power(metric)
@@ -433,17 +436,14 @@ def error_surface(
     if not sources:
         return []
     targets = [Quantizer(qt, offset, tie_break) for qt in qstep_t_values]
+    for q in sources + targets:
+        _step_float(q.step)
     sums_a = [_direct_runs(q_t, domain).error_sum(power) for q_t in targets]
-    a, b, _ = _magnitudes(domain)
-    surface = []
-    for q_s in sources:
-        source = _level_runs(q_s, a, b)
-        surface.append([
-            _point(q_s, q_t, sum_a, _chain_runs(q_s, source, q_t, domain).error_sum(power),
-                   domain, metric)
-            for q_t, sum_a in zip(targets, sums_a)
-        ])
-    return surface
+    return [
+        [_point(q_s, q_t, sum_a, chain.error_sum(power), domain, metric)
+         for q_t, sum_a, chain in zip(targets, sums_a, _chain_runs(q_s, targets, domain))]
+        for q_s in sources
+    ]
 
 
 def _aligned_residue(ratio: Fraction, f: Fraction) -> Optional[int]:
@@ -521,6 +521,8 @@ def boundary_overlap(
         raise ValueError(
             f"offsets must match to compare boundary grids: {q_s.offset} != {q_t.offset}"
         )
+    for q in (q_s, q_t):
+        _step_float(q.step)
     ratio = q_t.step / q_s.step
     k0 = _aligned_residue(ratio, q_s.offset)
     frac_aligned = _aligned_fraction(q_t, ratio.denominator, k0, domain)

@@ -351,7 +351,10 @@ class TestInputBounds:
         out = tmp_path / "plane.pgm"
         argv = ["gen-content", "--seed", "1", "--complexity", "0.5", "--out", str(out)]
         assert main(argv + flags) == 1
-        assert message in capsys.readouterr().err
+        # The pre-work check reports through the command's own parser.
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cpdtlab gen-content ")
+        assert "cpdtlab gen-content: error:" in err and message in err
         assert not out.exists()
 
 
@@ -522,9 +525,10 @@ class TestRequantCommands:
         code = main(["requant", "overlap", "--qstep-s", "12", "--qstep-t", "26",
                      "--offset", "1/2", f"--domain={domain}", "--out", str(tmp_path / "n.csv")])
         assert code == 1
-        assert capsys.readouterr().err.endswith(
-            "error: domain contains no target-step decision boundaries\n"
-        )
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cpdtlab requant overlap ")
+        assert "cpdtlab requant overlap: error:" in err
+        assert err.endswith("error: domain contains no target-step decision boundaries\n")
         assert calls == [] and list(tmp_path.iterdir()) == []
 
 

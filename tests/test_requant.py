@@ -562,7 +562,56 @@ class TestSharedTables:
             error_surface([12, -1], [13, 14])
         with pytest.raises(ValueError, match="step"):
             error_surface([12], [13, 0])
+        # A step whose double overflows or rounds to 0, on either axis of
+        # every public entry.
+        for bad in ("1e400", "1e-400"):
+            for s, t in ((bad, 12), (12, bad)):
+                for call in (
+                    lambda: sweep_qstep_t(s, [13, t]),
+                    lambda: error_surface([12, s], [13, t]),
+                    lambda: error_ratio(Quantizer(s), Quantizer(t)),
+                    lambda: boundary_overlap(Quantizer(s), Quantizer(t)),
+                ):
+                    with pytest.raises(ValueError, match="outside the range of a double"):
+                        call()
         assert error_surface([], [13, 14]) == []
+
+    def test_each_row_sums_each_chain_table_before_the_next(self, monkeypatch):
+        # _chain_runs yields a row's tables lazily, and error_surface sums
+        # each as it comes: a row never holds its tables as a list.
+        events = []
+        table, error_sum = requant._table, requant._Runs.error_sum
+
+        def table_spy(*args):
+            events.append(("build", table(*args)))
+            return events[-1][1]
+
+        def sum_spy(runs, power):
+            events.append(("sum", runs))
+            return error_sum(runs, power)
+
+        monkeypatch.setattr(requant, "_table", table_spy)
+        monkeypatch.setattr(requant._Runs, "error_sum", sum_spy)
+        error_surface([7, 12], range(13, 19), CoefficientDomain(-2048, 2047))
+        # The first 6 tables are the direct ones; each of the 2 x 6 chain
+        # tables after them is summed before the next is built.
+        direct = [runs for kind, runs in events if kind == "build"][:6]
+        chain = [(kind, runs) for kind, runs in events if all(runs is not d for d in direct)]
+        assert len(chain) == 2 * 2 * 6
+        for (built, runs), (summed, same) in zip(chain[::2], chain[1::2]):
+            assert (built, summed) == ("build", "sum") and same is runs
+
+    def test_chain_runs_yield_one_table_per_target(self):
+        # int64 and 17-decimal targets in one row, each table's sums as the
+        # value-by-value oracle's.
+        q_s, domain = Quantizer(7, Fraction(1, 3)), CoefficientDomain(-600, 599)
+        targets = [Quantizer(t, Fraction(1, 3)) for t in (13, "12.34567890123456789", 24)]
+        tables = list(requant._chain_runs(q_s, targets, domain))
+        assert [runs.step for runs in tables] == [q_t.step for q_t in targets]
+        for q_t, runs in zip(targets, tables):
+            e_b = pointwise_errors(q_s, q_t, domain)[1].tolist()
+            assert runs.error_sum(1) == sum(e_b)
+            assert runs.error_sum(2) == sum(e * e for e in e_b)
 
 
 class TestBoundaryOverlap:
