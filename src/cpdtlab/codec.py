@@ -29,6 +29,7 @@ from .transform import (
     _FORWARD,
     _INVERSE,
     _blocks,
+    _first_pass_fits,
     _rows,
     _transform_rows,
     forward_transform,
@@ -149,19 +150,28 @@ def _untile(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
     return full[:height, :width]
 
 
-def _quantize(coeff: np.ndarray, qp: int, block_size: int) -> np.ndarray:
-    """The dead-zone law sign(c) * floor(|c| / step + offset), as int32 levels."""
+def _qstep(qp, block_size: int):
+    """coeff_qstep(qp, block_size), or for a list of qps a column of their steps."""
+    if isinstance(qp, list):
+        return np.array([coeff_qstep(q, block_size) for q in qp])[:, None]
+    return coeff_qstep(qp, block_size)
+
+
+def _quantize(coeff: np.ndarray, qp, block_size: int) -> np.ndarray:
+    """The dead-zone law sign(c) * floor(|c| / step + offset), as int32 levels;
+    for a list of qps and 1-D coeff, row k holds the levels at qp[k]."""
     # In place on one float array.
-    scaled = np.abs(coeff) / coeff_qstep(qp, block_size)
+    scaled = np.abs(coeff) / _qstep(qp, block_size)
     scaled += CODEC_DEADZONE_OFFSET
     np.floor(scaled, out=scaled)
     scaled *= np.sign(coeff)
     return scaled.astype(np.int32)
 
 
-def _dequantize(levels: np.ndarray, qp: int, block_size: int) -> np.ndarray:
-    """Reconstructed coefficients rint(level * step), clipped to 16 bits, as float64."""
-    coeff = levels * coeff_qstep(qp, block_size)
+def _dequantize(levels: np.ndarray, qp, block_size: int) -> np.ndarray:
+    """Reconstructed coefficients rint(level * step), clipped to 16 bits, as
+    float64; qp is a qp, or a list of qps for _quantize's rows of levels."""
+    coeff = levels * _qstep(qp, block_size)
     np.rint(coeff, out=coeff)
     return np.clip(coeff, COEFF_MIN, COEFF_MAX, out=coeff)
 
@@ -259,6 +269,10 @@ def _distinct_values(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 # samples: a chunk's sum is at most 256 * 255^2 < 2^24, so it is exact.
 _SSE_CHUNK = 256
 
+# Most (qp, distinct value) entries that one law block quantizes and
+# dequantizes at once.
+_LAW_BLOCK = 1 << 15
+
 
 class _Scorer:
     """Rate and PSNR of coefficient rows against the one plane it owns.
@@ -271,21 +285,28 @@ class _Scorer:
     score(coeff, qps) gives, for each qp, exactly the pair
     (estimate_rate(enc), psnr(plane, decode_plane(enc))), enc being the
     encode_plane of coeff's blocks at qp, but quantizes and dequantizes only
-    the distinct coefficient values.  The same float formulas run on the
-    same values, so:
+    the distinct coefficient values, for a block of qps at a time
+    (_law_block: one call each of _quantize and _dequantize on a column of
+    qps, at most _LAW_BLOCK (qp, value) entries).  The same float formulas
+    run on the same values, so:
 
     - the dequantized values, gathered as float32 into the rows, give
       decode_plane's pixels: they are clipped to 16 bits, where the float32
       inverse is exact (see transform), and +_MID_GREY is folded into the
       last shift;
+    - in a block of two or more qps, each qp's stage-1 clip is skipped when
+      transform._first_pass_fits certifies it cannot bite.  The table does
+      not decrease along the values, so a coefficient row's largest |value|
+      sits at its least or greatest value index, found once per call.  A
+      one-qp block keeps its clip: the test would cost more than it saves;
     - the dead-zone law is monotone, so merging the counts of neighbouring
       values with equal levels gives the level histogram in ascending level
       order, the order estimate_rate sums it in;
     - the squared error is an exact integer sum against the plane's rows,
       held as float32 with the padding samples zeroed: each difference is
-      at most 255, so its square is exact in float32; one float32 GEMV sums
-      the squares in chunks of _SSE_CHUNK, each exact below 2^24, and the
-      chunk sums are added in float64.
+      at most 255, so its square is exact in float32; one stacked float32
+      dot per chunk of _SSE_CHUNK samples sums them, every partial sum an
+      integer below 2^24, and the chunk sums are added in float64.
 
     _scores(coeff, qps, source_qps) runs the same per-qp body as a generator,
     and at each qp in source_qps it also hands back the reconstruction's
@@ -332,36 +353,52 @@ class _Scorer:
         """(rate, PSNR, source) of the coefficient rows at each qp, in order;
         source is the reconstruction's coefficient rows at a qp in
         source_qps, else None."""
-        block_size = coeff.shape[0]
         values, counts, gather = _distinct_values(coeff)
         # x is the head of a buffer zero-padded to whole chunks; the tail stays zero.
         buffer = np.zeros(-(-gather.size // _SSE_CHUNK) * _SSE_CHUNK, dtype=np.float32)
         x = buffer[: gather.size].reshape(gather.shape)
         work = np.empty_like(x)
         chunks = buffer.reshape(-1, _SSE_CHUNK)
-        ones = np.ones(_SSE_CHUNK, dtype=np.float32)
-        new_level = np.empty(values.size, dtype=bool)
-        new_level[0] = True
-        for qp in qps:
-            levels = _quantize(values, qp, block_size)
-            np.not_equal(levels[1:], levels[:-1], out=new_level[1:])
-            histogram = np.add.reduceat(counts, np.flatnonzero(new_level))
-            rate = _rate_from_counts(histogram, coeff.size, self.samples)
-            table = _dequantize(levels, qp, block_size).astype(np.float32)
-            np.take(table, gather, out=x, mode="clip")
-            _transform_rows(x, work, _INVERSE, bias=_MID_GREY)
-            np.clip(x, 0, PIXEL_MAX, out=x)
-            source = None
-            if qp in source_qps:
-                source = x - _MID_GREY
-                flat = source.reshape(-1)
-                flat[self.padding] = flat[self.edges]
-                _transform_rows(source, work, _FORWARD)
-            x -= self.rows
-            np.square(x, out=x)
-            buffer[self.padding] = 0.0
-            sse = int(np.sum(chunks @ ones, dtype=np.float64))
-            yield rate, _psnr_from_sse(sse, self.samples), source
+        left, right = chunks[:, None, :], chunks[:, :, None]
+        dots = np.empty((chunks.shape[0], 1, 1), dtype=np.float32)
+        qps = list(qps)
+        # Each coefficient row's least and greatest value index: the reach of its recon.
+        ends = np.stack([gather.min(axis=1), gather.max(axis=1)]) if len(qps) > 1 else None
+        per_block = max(1, _LAW_BLOCK // values.size)
+        for start in range(0, len(qps), per_block):
+            block = qps[start : start + per_block]
+            for qp, (rate, table, fit) in zip(block, self._law_block(values, counts, block, ends)):
+                np.take(table, gather, out=x, mode="clip")
+                _transform_rows(x, work, _INVERSE, bias=_MID_GREY, clip=not fit)
+                np.clip(x, 0, PIXEL_MAX, out=x)
+                source = None
+                if qp in source_qps:
+                    source = x - _MID_GREY
+                    flat = source.reshape(-1)
+                    flat[self.padding] = flat[self.edges]
+                    _transform_rows(source, work, _FORWARD)
+                x -= self.rows
+                buffer[self.padding] = 0.0
+                np.matmul(left, right, out=dots)
+                sse = int(np.sum(dots, dtype=np.float64))
+                yield rate, _psnr_from_sse(sse, self.samples), source
+
+    def _law_block(self, values: np.ndarray, counts: np.ndarray, block: list, ends) -> list:
+        """(rate, float32 recon table, clip-free) of the distinct values with
+        these counts at each qp of block; ends are the rows' value index bounds."""
+        n, symbols = self.rows.shape[0], self.rows.size
+        qp = block if len(block) > 1 else block[0]
+        levels = _quantize(values, qp, n).reshape(len(block), -1)
+        recon = _dequantize(levels, qp, n)
+        fits = [False] * len(block)
+        if len(block) > 1:
+            fits = _first_pass_fits(np.abs(recon[:, ends]).max(axis=1))
+        new_level = np.empty(levels.shape, dtype=bool)
+        new_level[:, 0] = True
+        np.not_equal(levels[:, 1:], levels[:, :-1], out=new_level[:, 1:])
+        histograms = [np.add.reduceat(counts, np.flatnonzero(row)) for row in new_level]
+        rates = [_rate_from_counts(h, symbols, self.samples) for h in histograms]
+        return list(zip(rates, recon.astype(np.float32), fits))
 
 
 def synth_content(spec: ContentSpec) -> np.ndarray:

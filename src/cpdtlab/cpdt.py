@@ -198,12 +198,16 @@ def full_sweep(
     The source's targets are scored right there, before the pass goes on,
     so at most one source's coefficients and target buffers exist at a
     time.  Per source, the distinct coefficient values, their counts and a
-    gather index are found in O(plane size).  Once per (qp_s, qp_t) pair
-    only the distinct values are quantized and dequantized, the rate is
-    read from their merged counts, and one gather, one in-place inverse
-    transform and one exact squared-error sum (one GEMV over chunks) give
-    the PSNR (codec._Scorer).  These passes run in float32, exact on the
-    16-bit dequantized values, so each moves half the bytes of float64.
+    gather index are found in O(plane size).  Per block of target qps only
+    the distinct values are quantized and dequantized, in one call each,
+    each qp's rate is read from their merged counts, and an exact integer
+    test on each qp's table decides whether its stage-1 clip can bite.
+    Once per (qp_s, qp_t) pair one gather, one in-place inverse transform
+    and one exact squared-error sum (a stacked dot over chunks) give the
+    PSNR (codec._Scorer): 8 passes over the plane, plus two adds over 1/N
+    of it, where the rounding and the bias enter through the DC inputs.
+    These passes run in float32, exact on the 16-bit dequantized values, so
+    each moves half the bytes of float64.
     """
     qp_s_values, qp_t_values = _checked_qps(qp_s_values), _checked_qps(qp_t_values)
     wanted = set(qp_s_values)

@@ -426,18 +426,19 @@ def error_surface(
     """Dense (qstep_s, qstep_t) grid of error ratios, indexed [s][t].
 
     Each point equals error_ratio's on its cell.  Every step is judged, the
-    sources first, before any run table.  Each target step's direct runs and
-    E_a sum are built once, and each row sums _chain_runs' tables as they
-    come, so a cell costs only its chain's runs.  Nothing outlives the call.
+    sources first, before any run table, even with no sources.  Each target
+    step's direct runs and E_a sum are built once, and each row sums
+    _chain_runs' tables as they come, so a cell costs only its chain's runs.
+    Nothing outlives the call.
     """
     _require_metric(metric)
     power = _power(metric)
     sources = [Quantizer(qs, offset, tie_break) for qs in qstep_s_values]
-    if not sources:
-        return []
     targets = [Quantizer(qt, offset, tie_break) for qt in qstep_t_values]
     for q in sources + targets:
         _step_float(q.step)
+    if not sources:
+        return []
     sums_a = [_direct_runs(q_t, domain).error_sum(power) for q_t in targets]
     return [
         [_point(q_s, q_t, sum_a, chain.error_sum(power), domain, metric)

@@ -31,15 +31,18 @@ codec's source hand-back (forward, on the kernel's own clipped pixels less
 
 Each pass's rounded right shift (x + 2^(s-1)) >> s is folded into its GEMM
 operand: the operand is the matrix times 2^-s, so the GEMM gives x * 2^-s,
-and a pass reads "GEMM, add 1/2 (+bias), floor", the first then a 16-bit
-clip.  The scale is a power of two, so the scaled matrix and every product
-are exact, and every partial sum is an integer multiple of 2^-s.  Such a
-sum is exact in a float whose mantissa holds its number of steps of 2^-s,
-whatever order BLAS sums in; floor then gives the arithmetic shift and the
-clips compare exact values.  So every result is the integer of the int64
-reference definition.  Both directions run in float32 (24-bit mantissa),
-each on the input domain it has in an 8-bit codec, and each refuses values
-outside it:
+and a forward pass reads "GEMM, add 1/2, floor".  The inverse adds to its
+DC inputs instead: T's DC row is all 64s, so column 0 of its operands is
+1/2 and 2^-6, and 1 added to input row 0 of pass 1, and (1/2 + bias) * 2^6
+(8224 at the kernel's bias 128) to pass 2's, put 1/2 (+bias) into every
+sum, at 1/N of the cost of adding to the output.  The scale is a power of
+two, so the scaled matrix and every product are exact, and every partial
+sum is an integer multiple of 2^-s.  Such a sum is exact in a float whose
+mantissa holds its number of steps of 2^-s, whatever order BLAS sums in;
+floor then gives the arithmetic shift and the clips compare exact values.
+So every result is the integer of the int64 reference definition.  Both
+directions run in float32 (24-bit mantissa), each on the input domain it
+has in an 8-bit codec, and each refuses values outside it:
 
 - forward_transform takes residuals in [-256, 255], the inverse's own
   output range.  A first-pass sum takes at most 512 * 2^8 = 2^17 steps.  In
@@ -48,12 +51,21 @@ outside it:
   at most 476, so its sum takes at most 476 * 2^15 + 2^8 < 2^24 steps.  No
   stage leaves signed 16 bits: the output reaches -32768 (the DC of a
   constant -256 block) but not +32768, because the domain is asymmetric,
-  so the forward's output needs no clip.
+  so neither the forward's first pass nor its output needs a clip.
 - inverse_transform takes 16-bit coefficients in [-32768, 32767], as does
   codec's target kernel.  Every column of the 8-point matrix has L1 norm
   479 (247 at 4 points), so a sum takes at most
   479 * 2^15 + 2^19 + 2^11 = 16,222,208 < 2^24 steps: the GEMM, the bias
   128 * 2^12 that the kernel adds in the last shift, and its rounding 2^11.
+  The folded DC inputs stay inside it: 32767 + 1 into pass 1, whose sums
+  then take at most 479 * 2^15 steps, and 32767 + 8224 into pass 2, which
+  adds exactly 64 * 8224 = 2^19 + 2^11.
+
+The inverse's stage-1 clip bites only where a rounded pass-1 value leaves
+16 bits.  Pass-1 output row r is sum_i T[i, r] * x[i] over coefficient rows
+i, so if |x[i]| <= reach[i] for every value of row i and
+sum_i |T[i, r]| * reach[i] <= 32767 * 128 for every r, every value already
+lies in [-32767, 32767] and the clip changes nothing (_first_pass_fits).
 """
 
 from __future__ import annotations
@@ -120,15 +132,16 @@ def orthonormal_gain(size: int) -> float:
     return 128.0 / size
 
 
-def _round(x: np.ndarray, bias: int = 0) -> np.ndarray:
-    """floor(x + 1/2 + bias) in place: after a GEMM on a 2^-s operand, the
-    rounded right shift by s, plus bias."""
-    x += 0.5 + bias
-    return np.floor(x, out=x)
-
-
 def _clip16(x: np.ndarray) -> np.ndarray:
     return np.clip(x, COEFF_MIN, COEFF_MAX, out=x)
+
+
+def _first_pass_fits(reach: np.ndarray) -> np.ndarray:
+    """The clip test of the module docstring, exact in int64, for each row of
+    reach: (..., N) bounds on |x[i]| for the values of coefficient row i."""
+    reach = np.asarray(reach, dtype=np.int64)
+    t = np.abs(_MATRICES[reach.shape[-1]])
+    return np.all(reach @ t <= COEFF_MAX << _INVERSE_SHIFTS[0], axis=-1)
 
 
 def _rows(blocks: np.ndarray, dtype=None) -> np.ndarray:
@@ -146,19 +159,37 @@ def _blocks(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return rows.transpose(*range(2, lead + 2), 0, 1)
 
 
-def _transform_rows(x: np.ndarray, work: np.ndarray, direction: dict, bias: int = 0) -> None:
+def _transform_rows(
+    x: np.ndarray, work: np.ndarray, direction: dict, bias: int = 0, clip: bool = True
+) -> None:
     """One direction's two passes over float32 (row, col, block) rows x, in
     place and without an output clip; the last shift adds `bias`.
 
     direction is _FORWARD or _INVERSE, and x must hold values of its input
-    domain (see the module docstring); work is scratch of x's shape.
+    domain (see the module docstring); work is scratch of x's shape.  The
+    forward never needs its stage-1 clip; clip=False skips the inverse's,
+    where _first_pass_fits holds.
     """
     n = x.shape[0]
     first, second = direction[n]
-    np.matmul(first, x, out=work)
-    _clip16(_round(work))
-    np.matmul(second, work.reshape(n, n, -1), out=x.reshape(n, n, -1))
-    _round(x, bias)
+    work3 = work.reshape(n, n, -1)
+    if direction is _INVERSE:
+        # The operands' DC columns are 1/2 and 2^-6: these adds put 1/2,
+        # then 1/2 + bias, into every sum.
+        x[0] += 1.0
+        np.matmul(first, x, out=work)
+        np.floor(work, out=work)
+        if clip:
+            _clip16(work)
+        work3[:, 0] += (bias + 0.5) * 64.0
+        np.matmul(second, work3, out=x.reshape(n, n, -1))
+    else:
+        np.matmul(first, x, out=work)
+        work += 0.5
+        np.floor(work, out=work)
+        np.matmul(second, work3, out=x.reshape(n, n, -1))
+        x += 0.5 + bias
+    np.floor(x, out=x)
 
 
 def _check_block(block: np.ndarray, name: str, lo: int, hi: int) -> np.ndarray:

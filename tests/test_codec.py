@@ -30,6 +30,7 @@ from cpdtlab.transform import (
     COEFF_MAX,
     COEFF_MIN,
     _FORWARD,
+    _INVERSE,
     _INVERSE_SHIFTS,
     _MATRICES,
     _RESIDUAL_MAX,
@@ -275,6 +276,37 @@ class TestScorerMatchesPlainChain:
             _plain_chain(plane, coeff, qp) for qp in QP_RANGE
         ]
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            [[19424, -15168, -19040, 0], [26368, -13792, -8864, 1376], [0, 0, 0, 0],
+             [21184, 3040, 14176, -9504]],
+            [[22480, -6704, 0, -13696, -15216, 19344, -22272, -18976],
+             [-4608, 1232, 32, -4224, -592, -560, 2176, 0],
+             [14080, -3296, 11424, -8128, -2960, 0, -11568, 1488],
+             [-2672, 2608, -960, 0, 0, 512, 1296, -1952],
+             [5008, 1600, 2288, 4128, -2800, -2128, -4144, 0],
+             [-12784, 0, 0, -4928, 7552, 5056, 0, -8880],
+             [464, -432, 176, 144, 0, 0, 0, -80], [0] * 8],
+        ],
+        ids=[4, 8],
+    )
+    def test_first_pass_on_32768(self, block):
+        # At qp 4 this block dequantizes to itself, and one stage-1 value
+        # rounds to 32768: the clip must bite, and its 1 moves a pixel.  The
+        # certificate's bound lies between 32767 * 128 and 32768 * 128, so a
+        # limit one step too loose would skip that clip.
+        coeff = np.array(block)
+        t = _MATRICES[coeff.shape[0]]
+        assert ((t.T @ coeff + 64) >> 7).max() == 32768
+        bound = (np.abs(coeff).max(axis=1) @ np.abs(t)).max()
+        assert 32767 * 128 < bound <= 32768 * 128
+        coeff = np.stack([coeff, -coeff])[None]
+        plane = np.random.default_rng(0).integers(0, 256, (len(block), 2 * len(block)), np.uint8)
+        assert _Scorer(plane, len(block)).score(_rows(coeff), [4, 5]) == [
+            _plain_chain(plane, coeff, qp) for qp in [4, 5]
+        ]
+
     @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (255, 257), (256, 256)])
     @pytest.mark.parametrize("field", ["zero", "own", "negated"])
     def test_squared_error_above_2_to_24(self, shape, field):
@@ -309,12 +341,21 @@ class TestFloat32Bounds:
 
     def test_inverse_sums(self):
         first, second = _INVERSE_SHIFTS
-        for t in _MATRICES.values():
+        for n, t in _MATRICES.items():
             # Each first-pass sum meets one matrix column; the second pass
             # reads clipped 16-bit values and adds the bias and the rounding.
             column_l1 = int(np.abs(t).sum(axis=0).max())
             assert column_l1 * -COEFF_MIN + (1 << (first - 1)) < self.exact
             assert column_l1 * -COEFF_MIN + (_MID_GREY << second) + (1 << (second - 1)) < self.exact
+            # The kernel adds those through the DC inputs, which T's all-64
+            # DC row weights by 1/2 and 2^-6: 1 into pass 1, and
+            # (1/2 + 128) * 2^6 = 8224 into pass 2, onto 16-bit values.
+            assert [operand[:, 0].tolist() for operand in _INVERSE[n]] == [[0.5] * n, [2**-6] * n]
+            assert (0.5 + _MID_GREY) * 2**6 == 8224
+            reach = np.full(n, -COEFF_MIN)
+            for dc in (COEFF_MAX + 1, COEFF_MAX + 8224):
+                reach[0] = dc
+                assert int((reach @ np.abs(t)).max()) < self.exact
         assert int(np.abs(_MATRICES[8]).sum(axis=0).max()) == 479
 
     def test_forward_sums(self):

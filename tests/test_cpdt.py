@@ -147,6 +147,28 @@ class TestSweepMatchesPlainChain:
         _check_plain_chain_records(_odd_plane(), [12, 31], [0, 12, 30, 33, 51], block_size)
 
     @pytest.mark.parametrize("block_size", [4, 8])
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_law_blocks(self, block_size, per_block, monkeypatch):
+        # codec._LAW_BLOCK caps a law block's (qp, value) entries.  Set to 1,
+        # every block holds one qp.  Set to 3 times the direct pass's
+        # distinct values, it splits the 52-qp pass into 17 blocks of 3 and
+        # one of 1, and each source's 7 targets into blocks sized by its own
+        # distinct values.
+        plane = _odd_plane()
+        values = codec._distinct_values(codec._Scorer(plane, block_size).coeff)[0]
+        monkeypatch.setattr(codec, "_LAW_BLOCK", 1 if per_block == 1 else 3 * values.size)
+        sizes = []
+        law_block = codec._Scorer._law_block
+
+        def spy(scorer, values, counts, block, ends):
+            sizes.append(len(block))
+            return law_block(scorer, values, counts, block, ends)
+
+        monkeypatch.setattr(codec._Scorer, "_law_block", spy)
+        _check_plain_chain_records(plane, [12, 31], [0, 5, 12, 30, 33, 40, 51], block_size)
+        assert 1 in sizes and (max(sizes) > 1) == (per_block > 1)
+
+    @pytest.mark.parametrize("block_size", [4, 8])
     @pytest.mark.parametrize("qp_s_values", [[30, 12, 30], []], ids=["repeated", "empty"])
     def test_repeated_and_empty_source_lists(self, qp_s_values, block_size):
         # Each listed qp_s gives its records in list order, once per listing.

@@ -576,6 +576,13 @@ class TestSharedTables:
                         call()
         assert error_surface([], [13, 14]) == []
 
+    def test_empty_source_axis_still_judges_the_targets(self):
+        with pytest.raises(ValueError, match="step must be positive"):
+            error_surface([], [0])
+        with pytest.raises(ValueError, match="outside the range of a double"):
+            error_surface([], ["1e-400"])
+        assert error_surface([], [12]) == []
+
     def test_each_row_sums_each_chain_table_before_the_next(self, monkeypatch):
         # _chain_runs yields a row's tables lazily, and error_surface sums
         # each as it comes: a row never holds its tables as a list.

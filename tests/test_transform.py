@@ -10,6 +10,7 @@ from cpdtlab.transform import (
     _INVERSE,
     _MATRICES,
     _blocks,
+    _first_pass_fits,
     _rows,
     _transform_rows,
     orthonormal_gain,
@@ -177,6 +178,44 @@ class TestInverse:
             recon = inverse_transform(dc)
             assert np.all(recon[0] == 255)
             assert np.all(recon[1] == -256)
+
+
+class TestFirstPassCertificate:
+    """_first_pass_fits(reach): sum_i |T[i, r]| * reach[i] <= 32767 * 128 for
+    every output row r of the inverse's first pass."""
+
+    @pytest.mark.parametrize("size", TRANSFORM_SIZES)
+    def test_edge(self, size):
+        # T's DC row is all 64s: 65534 on row 0 alone sums to 32767 * 128 in
+        # every output row, and one more does not fit.
+        reach = np.zeros((2, size), dtype=np.int64)
+        reach[:, 0] = [65534, 65535]
+        assert _first_pass_fits(reach).tolist() == [True, False]
+        assert _first_pass_fits(reach[0]) and not _first_pass_fits(reach[1])
+
+    def test_input_rows_meet_matrix_rows(self):
+        # Input row i meets T's row i; T's columns differ, so each verdict
+        # flips with T transposed.  Column 0 holds 89 (83 at 4 points);
+        # rows 1 and 2 sum to 172 at column 0, while no row of T has
+        # entries of columns 1 and 2 summing past 166.
+        assert _first_pass_fits([65534, 0, 0, 0, 0, 0, 0, 0])
+        assert _first_pass_fits([65534, 0, 0, 0])
+        assert not _first_pass_fits([0, 25000, 25000, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("size", TRANSFORM_SIZES)
+    def test_certified_blocks_stay_in_16_bits(self, size):
+        # Blocks whose rows stay within a certified reach never leave 16 bits
+        # in the int64 first pass.
+        t = _MATRICES[size]
+        rng = np.random.default_rng(size)
+        reach = rng.integers(0, 32769, size=(400, size)) >> rng.integers(0, 4, size=(400, 1))
+        fits = _first_pass_fits(reach)
+        assert 0 < fits.sum() < fits.size
+        coeff = rng.integers(-reach[fits, :, None], reach[fits, :, None], endpoint=True,
+                             size=(int(fits.sum()), size, size))
+        coeff[:, :, 0] = reach[fits] * np.sign(t[:, 0])
+        stage1 = _round_shift(np.matmul(t.T, coeff), 7)
+        assert stage1.min() >= -32768 and stage1.max() <= 32767
 
 
 class TestRoundtrip:
